@@ -8,8 +8,7 @@ build:
 test: check
 
 # Tier-1 gate: everything compiles, the whole suite passes, and the
-# perf numbers have not regressed past the tolerances of
-# scripts/perf_regress.sh.
+# perf numbers pass the gate table in bench/gate.ml.
 check:
 	dune build && dune runtest
 	$(MAKE) trace-smoke
@@ -157,10 +156,11 @@ telemetry-smoke:
 perf-bench:
 	dune exec bench/main.exe -- perf --trials 2000 --out BENCH_results.json
 
-# Regression gate: rerun the canonical perf sweep and compare against
-# the committed baseline (tolerances documented in the script).
+# Regression gate: rerun the canonical perf sweep and check it against
+# the gate table (bench/gate.ml) and the committed baseline. Prints one
+# line per gate; exits 1 if any gate fails.
 perf-regress: perf-bench
-	sh scripts/perf_regress.sh BENCH_results.json BENCH_baseline.json
+	dune exec bench/main.exe -- gate BENCH_results.json BENCH_baseline.json
 
 clean:
 	dune clean

@@ -26,7 +26,8 @@ let domains = ref (Engine.default_domains ())
 (* Trial-count multiplier for every statistical batch; bench/main.ml
    sets it from --scale. 1.0 runs the full tables; the perf subcommand
    uses a small scale so timing every experiment family stays cheap
-   enough for `make perf-regress`. Scaling changes statistical
+   enough for the experiments.*.wall_s gate rows (bench/gate.ml).
+   Scaling changes statistical
    resolution only, never which claim a table checks. *)
 let scale = ref 1.0
 
@@ -854,8 +855,8 @@ let flat_sweep ~domains ?chunk ~trials () =
    derive streams (0 schedule, 1 adversary). The per-trial outcome is
    [(winner, max steps)]: cross-kernel equality is the bench-level
    flat-vs-effect differential for the poison registry entry, and the
-   flat side's trials/s and minor-words/trial feed the poison gates in
-   scripts/perf_regress.sh. *)
+   flat side's trials/s and minor-words/trial feed the poison_flat.*
+   gate rows in bench/gate.ml. *)
 
 let make_poison_flat_arena () =
   Flatsim.Machine.create ~procs:perf_k (Flatsim.Programs.poison ~n:perf_n)

@@ -60,6 +60,31 @@ let make_adversary name seed =
         (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
   | other -> failwith (Printf.sprintf "unknown adversary %S" other)
 
+let write_file file contents =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents)
+
+(* Write a telemetry sink's exports, each to its file when one is
+   given: the JSON time-series, the OpenMetrics text and the Perfetto
+   trace. *)
+let write_exports ~log ~json ~openmetrics ~trace (sink : Service.Telemetry.sink)
+    =
+  let snap = sink.snapshot in
+  let write f contents =
+    write_file f contents;
+    log f
+  in
+  Option.iter (fun f -> write f (Obs.Timeseries.to_json snap)) json;
+  Option.iter (fun f -> write f (Obs.Timeseries.to_openmetrics snap)) openmetrics;
+  Option.iter
+    (fun f ->
+      match sink.trace_json with
+      | Some t -> write f t
+      | None -> Fmt.epr "rtas: no trace produced for %s@." f)
+    trace
+
 let run_cmd =
   let run algorithm n k seed adversary tas trace =
     let seed = Int64.of_int seed in
@@ -411,10 +436,7 @@ let trace_cmd =
           Sim.Sched.run sched (make_adversary adversary seed);
           Obs.Collector.snapshot collector)
     in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Obs.Chrome_trace.output chrome oc);
+    write_file out (Obs.Chrome_trace.to_string chrome);
     Fmt.pr "wrote %s (%d events); load it at ui.perfetto.dev@." out
       (Obs.Chrome_trace.n_events chrome);
     Fmt.pr "%a" Rtas.Probe_report.pp_profile snapshot
@@ -508,23 +530,22 @@ let profile_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"n\":%d,\"k\":%d,\"trials\":%d,\"seed\":%d,\"algos\":{" n k
-             trials seed);
-        List.iteri
-          (fun i (name, snapshot) ->
-            if i > 0 then Buffer.add_string buf ",";
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":%s" name
-                 (Rtas.Probe_report.snapshot_to_json snapshot)))
-          profiles;
-        Buffer.add_string buf "}}\n";
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Buffer.output_buffer oc buf);
+        let module J = Obs.Json in
+        write_file file
+          (J.to_string
+             (J.Obj
+                [
+                  ("n", J.int n);
+                  ("k", J.int k);
+                  ("trials", J.int trials);
+                  ("seed", J.int seed);
+                  ( "algos",
+                    J.Obj
+                      (List.map
+                         (fun (name, sn) ->
+                           (name, Rtas.Probe_report.snapshot_to_json sn))
+                         profiles) );
+                ]));
         Fmt.pr "wrote %s@." file
   in
   Cmd.v
@@ -926,12 +947,6 @@ let service_cmd =
         exit 2
     in
     let json = Service.Report.to_json report in
-    let write_file file contents =
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
     (match out with
     | None ->
         print_string json;
@@ -939,28 +954,11 @@ let service_cmd =
     | Some file ->
         write_file file json;
         Fmt.pr "wrote %s@.%a@." file Service.Report.pp report);
-    (match sink with
-    | None -> ()
-    | Some s ->
-        let snap = s.Service.Telemetry.snapshot in
-        Option.iter
-          (fun f ->
-            write_file f (Obs.Timeseries.to_json snap);
-            Fmt.epr "telemetry: wrote %s@." f)
-          telemetry_out;
-        Option.iter
-          (fun f ->
-            write_file f (Obs.Timeseries.to_openmetrics snap);
-            Fmt.epr "telemetry: wrote %s@." f)
-          openmetrics_out;
-        Option.iter
-          (fun f ->
-            match s.Service.Telemetry.trace_json with
-            | Some t ->
-                write_file f t;
-                Fmt.epr "telemetry: wrote %s@." f
-            | None -> Fmt.epr "rtas service: no trace produced for %s@." f)
-          trace_out);
+    Option.iter
+      (write_exports
+         ~log:(Fmt.epr "telemetry: wrote %s@.")
+         ~json:telemetry_out ~openmetrics:openmetrics_out ~trace:trace_out)
+      sink;
     if report.Service.Report.livelocked then exit 1
   in
   Cmd.v
@@ -1084,30 +1082,8 @@ let telemetry_cmd =
     let snap = sink.Service.Telemetry.snapshot in
     Fmt.pr "%a@." Obs.Timeseries.pp snap;
     Fmt.epr "%a@." Service.Report.pp report;
-    let write_file file contents =
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    Option.iter
-      (fun f ->
-        write_file f (Obs.Timeseries.to_json snap);
-        Fmt.pr "wrote %s@." f)
-      json_out;
-    Option.iter
-      (fun f ->
-        write_file f (Obs.Timeseries.to_openmetrics snap);
-        Fmt.pr "wrote %s@." f)
-      openmetrics_out;
-    Option.iter
-      (fun f ->
-        match sink.Service.Telemetry.trace_json with
-        | Some t ->
-            write_file f t;
-            Fmt.pr "wrote %s@." f
-        | None -> Fmt.epr "rtas telemetry: no trace produced for %s@." f)
-      trace_out;
+    write_exports ~log:(Fmt.pr "wrote %s@.") ~json:json_out
+      ~openmetrics:openmetrics_out ~trace:trace_out sink;
     (match Service.Telemetry.counter_mismatches snap report with
     | [] -> Fmt.pr "windowed counter sums match the report totals@."
     | ms ->

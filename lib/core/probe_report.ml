@@ -7,17 +7,20 @@
 let pct x total =
   if total = 0 then 0.0 else 100.0 *. float_of_int x /. float_of_int total
 
+(* A phase's steps-per-span summary (mean, stddev, median, p95); zeros
+   when no span closed. *)
+let step_summary (ps : Obs.Collector.phase_snapshot) =
+  if Array.length ps.ps_step_samples = 0 then (0.0, 0.0, 0.0, 0.0)
+  else
+    let s = Sim.Stats.summarize_sorted ps.ps_step_samples in
+    Sim.Stats.(s.mean, s.stddev, s.median, s.p95)
+
 let pp_profile ppf (sn : Obs.Collector.snapshot) =
   Fmt.pf ppf "%-16s %9s %11s %6s %11s %6s %8s %8s %9s@." "phase" "calls"
     "steps" "stp%" "rmrs" "rmr%" "steps/c" "p95" "unclosed";
   List.iter
     (fun (ps : Obs.Collector.phase_snapshot) ->
-      let mean, p95 =
-        if Array.length ps.ps_step_samples = 0 then (0.0, 0.0)
-        else
-          let s = Sim.Stats.summarize_sorted ps.ps_step_samples in
-          (s.Sim.Stats.mean, s.Sim.Stats.p95)
-      in
+      let mean, _, _, p95 = step_summary ps in
       Fmt.pf ppf "%-16s %9d %11d %5.1f%% %11d %5.1f%% %8.2f %8.1f %9d@."
         ps.ps_phase ps.ps_calls ps.ps_steps
         (pct ps.ps_steps sn.Obs.Collector.sn_steps)
@@ -36,56 +39,52 @@ let pp_profile ppf (sn : Obs.Collector.snapshot) =
 
 (* {1 JSON} *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let add_phase buf first (ps : Obs.Collector.phase_snapshot) =
-  if not !first then Buffer.add_string buf ",";
-  first := false;
-  let mean, stddev, median, p95 =
-    if Array.length ps.ps_step_samples = 0 then (0.0, 0.0, 0.0, 0.0)
-    else
-      let s = Sim.Stats.summarize_sorted ps.ps_step_samples in
-      (s.Sim.Stats.mean, s.Sim.Stats.stddev, s.Sim.Stats.median, s.Sim.Stats.p95)
-  in
+let phase_to_json (ps : Obs.Collector.phase_snapshot) =
+  let module J = Obs.Json in
+  let mean, stddev, median, p95 = step_summary ps in
   let rmr_mean =
     if Array.length ps.ps_rmr_samples = 0 then 0.0
     else Sim.Stats.mean_array ps.ps_rmr_samples
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"phase\":\"%s\",\"calls\":%d,\"unclosed\":%d,\"steps\":%d,\"rmrs\":%d,\"writes\":%d,\"invalidated\":%d,\"steps_per_call\":{\"mean\":%.6g,\"stddev\":%.6g,\"median\":%.6g,\"p95\":%.6g},\"rmrs_per_call_mean\":%.6g}"
-       (escape ps.ps_phase) ps.ps_calls ps.ps_unclosed ps.ps_steps ps.ps_rmrs
-       ps.ps_writes ps.ps_invalidations mean stddev median p95 rmr_mean)
+  let stat = J.float "%.6g" in
+  J.Obj
+    [
+      ("phase", J.Str ps.ps_phase);
+      ("calls", J.int ps.ps_calls);
+      ("unclosed", J.int ps.ps_unclosed);
+      ("steps", J.int ps.ps_steps);
+      ("rmrs", J.int ps.ps_rmrs);
+      ("writes", J.int ps.ps_writes);
+      ("invalidated", J.int ps.ps_invalidations);
+      ( "steps_per_call",
+        J.Obj
+          [
+            ("mean", stat mean);
+            ("stddev", stat stddev);
+            ("median", stat median);
+            ("p95", stat p95);
+          ] );
+      ("rmrs_per_call_mean", stat rmr_mean);
+    ]
 
 let snapshot_to_json (sn : Obs.Collector.snapshot) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"phases\":[";
-  let first = ref true in
-  List.iter (add_phase buf first) sn.Obs.Collector.sn_phases;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"totals\":{\"steps\":%d,\"rmrs\":%d,\"flips\":%d,\"crashes\":%d,\"finishes\":%d,\"span_errors\":%d},\"counters\":{"
-       sn.Obs.Collector.sn_steps sn.Obs.Collector.sn_rmrs
-       sn.Obs.Collector.sn_flips sn.Obs.Collector.sn_crashes
-       sn.Obs.Collector.sn_finishes sn.Obs.Collector.sn_span_errors);
-  let firstc = ref true in
-  List.iter
-    (fun (name, v) ->
-      if not !firstc then Buffer.add_string buf ",";
-      firstc := false;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape name) v))
-    sn.Obs.Collector.sn_metrics.Obs.Metrics.counters;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  J.Obj
+    [
+      ("phases", J.Arr (List.map phase_to_json sn.Obs.Collector.sn_phases));
+      ( "totals",
+        J.Obj
+          [
+            ("steps", J.int sn.Obs.Collector.sn_steps);
+            ("rmrs", J.int sn.Obs.Collector.sn_rmrs);
+            ("flips", J.int sn.Obs.Collector.sn_flips);
+            ("crashes", J.int sn.Obs.Collector.sn_crashes);
+            ("finishes", J.int sn.Obs.Collector.sn_finishes);
+            ("span_errors", J.int sn.Obs.Collector.sn_span_errors);
+          ] );
+      ( "counters",
+        J.Obj
+          (List.map
+             (fun (name, v) -> (name, J.int v))
+             sn.Obs.Collector.sn_metrics.Obs.Metrics.counters) );
+    ]

@@ -9,6 +9,6 @@ val pp_profile : Obs.Collector.snapshot Fmt.t
     mean and p95, unclosed spans), then totals and any custom
     counters. *)
 
-val snapshot_to_json : Obs.Collector.snapshot -> string
+val snapshot_to_json : Obs.Collector.snapshot -> Obs.Json.t
 (** One JSON object: [{"phases": [...], "totals": {...},
     "counters": {...}}]. *)

@@ -7,8 +7,9 @@
    we store the immutable Int64 base plus a native-int draw counter and
    recompute the state on the fly. Every Int64 intermediate then lives
    only inside [next_int], where the native compiler keeps it unboxed:
-   a draw allocates {e nothing} (verified by the GC gate in
-   scripts/perf_regress.sh and test_flatsim's allocation test).
+   a draw allocates {e nothing} (verified by the gate row
+   parallel_sweep.minor_words_per_trial_domains_1 in bench/gate.ml and
+   test_flatsim's allocation test).
 
    Parity contract, pinned by test_flatsim:
    - [int t b] equals [Sim.Rng.int t' b] draw-for-draw when both start

@@ -15,8 +15,7 @@
    when the trace is finalised — so the JSON always balances. *)
 
 type t = {
-  buf : Buffer.t;
-  mutable first : bool;  (* no event emitted yet *)
+  events : Json.stream;
   mutable now : int;  (* sim time of the last step seen *)
   mutable finalised : bool;
   mutable n_events : int;
@@ -26,48 +25,41 @@ type t = {
 
 let trace_pid = 1
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let emit t json =
-  if t.finalised then invalid_arg "Chrome_trace: trace already finalised";
-  if t.first then t.first <- false else Buffer.add_string t.buf ",\n";
-  Buffer.add_string t.buf json;
-  t.n_events <- t.n_events + 1
-
 (* Every event — metadata included — carries ph/ts/pid/tid so consumers
    can rely on the fields unconditionally. *)
-let event t ~name ~ph ~ts ~tid ?(extra = "") ?(args = "") () =
-  emit t
-    (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":%d,\"tid\":%d%s%s}"
-       (escape name) ph ts trace_pid tid extra
-       (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args))
+let event t ~name ~ph ~ts ~tid ?(extra = []) ?(args = []) () =
+  if t.finalised then invalid_arg "Chrome_trace: trace already finalised";
+  Json.push t.events
+    (Json.Obj
+       ([
+          ("name", Json.Str name);
+          ("ph", Json.Str ph);
+          ("ts", Json.int ts);
+          ("pid", Json.int trace_pid);
+          ("tid", Json.int tid);
+        ]
+       @ extra
+       @ if args = [] then [] else [ ("args", Json.Obj args) ]));
+  t.n_events <- t.n_events + 1
 
-let thread_meta t pid =
-  if not (Hashtbl.mem t.seen pid) then begin
-    Hashtbl.add t.seen pid ();
-    event t ~name:"thread_name" ~ph:"M" ~ts:0 ~tid:pid
-      ~args:(Printf.sprintf "\"name\":\"p%d\"" pid)
+let thread_scoped = [ ("s", Json.Str "t") ]
+
+let name_thread t ~tid name =
+  if not (Hashtbl.mem t.seen tid) then begin
+    Hashtbl.add t.seen tid ();
+    event t ~name:"thread_name" ~ph:"M" ~ts:0 ~tid
+      ~args:[ ("name", Json.Str name) ]
       ()
   end
+
+let thread_meta t pid =
+  if not (Hashtbl.mem t.seen pid) then
+    name_thread t ~tid:pid (Printf.sprintf "p%d" pid)
 
 let create () =
   let t =
     {
-      buf = Buffer.create 65536;
-      first = true;
+      events = Json.stream "traceEvents";
       now = 0;
       finalised = false;
       n_events = 0;
@@ -76,7 +68,7 @@ let create () =
     }
   in
   event t ~name:"process_name" ~ph:"M" ~ts:0 ~tid:0
-    ~args:(Printf.sprintf "\"name\":\"%s\"" (escape "rtas-sim"))
+    ~args:[ ("name", Json.Str "rtas-sim") ]
     ();
   t
 
@@ -95,17 +87,22 @@ let on_step t ~time ~pid ~reg ~reg_name ~write ~value ~rmr ~invalidated =
     if write then Printf.sprintf "W %s=%d" reg_name value
     else Printf.sprintf "R %s=%d" reg_name value
   in
-  event t ~name ~ph:"i" ~ts:time ~tid:pid ~extra:",\"s\":\"t\""
+  event t ~name ~ph:"i" ~ts:time ~tid:pid ~extra:thread_scoped
     ~args:
-      (Printf.sprintf "\"reg\":%d,\"write\":%b,\"value\":%d,\"rmr\":%b,\"invalidated\":%d"
-         reg write value rmr invalidated)
+      [
+        ("reg", Json.int reg);
+        ("write", Json.Bool write);
+        ("value", Json.int value);
+        ("rmr", Json.Bool rmr);
+        ("invalidated", Json.int invalidated);
+      ]
     ()
 
 let on_flip t ~time ~pid ~bound ~outcome =
   t.now <- time;
   thread_meta t pid;
-  event t ~name:"flip" ~ph:"i" ~ts:time ~tid:pid ~extra:",\"s\":\"t\""
-    ~args:(Printf.sprintf "\"bound\":%d,\"outcome\":%d" bound outcome)
+  event t ~name:"flip" ~ph:"i" ~ts:time ~tid:pid ~extra:thread_scoped
+    ~args:[ ("bound", Json.int bound); ("outcome", Json.int outcome) ]
     ()
 
 let on_span_enter t ~pid ~phase =
@@ -135,42 +132,33 @@ let on_crash t ~time ~pid =
   t.now <- time;
   thread_meta t pid;
   drain t ~pid;
-  event t ~name:"crash" ~ph:"i" ~ts:time ~tid:pid ~extra:",\"s\":\"t\"" ()
+  event t ~name:"crash" ~ph:"i" ~ts:time ~tid:pid ~extra:thread_scoped ()
 
 let on_finish t ~time ~pid ~result =
   t.now <- time;
   thread_meta t pid;
   drain t ~pid;
-  event t ~name:"finish" ~ph:"i" ~ts:time ~tid:pid ~extra:",\"s\":\"t\""
-    ~args:(Printf.sprintf "\"result\":%d" result)
+  event t ~name:"finish" ~ph:"i" ~ts:time ~tid:pid ~extra:thread_scoped
+    ~args:[ ("result", Json.int result) ]
     ()
 
 (* {1 Direct emitters}
 
-   Used by the service layer, which has no Probe event stream: counter
+   Used by the service layer, which has no Probe event stream (along
+   with [name_thread]): counter
    tracks ("ph":"C", rendered as stacked area charts by Perfetto) and
    complete spans ("ph":"X", a B/E pair in one event — no nesting
    bookkeeping needed for the non-overlapping per-key round spans). *)
 
-let name_thread t ~tid name =
-  if not (Hashtbl.mem t.seen tid) then begin
-    Hashtbl.add t.seen tid ();
-    event t ~name:"thread_name" ~ph:"M" ~ts:0 ~tid
-      ~args:(Printf.sprintf "\"name\":\"%s\"" (escape name))
-      ()
-  end
-
 let counter t ~name ~ts ~value =
   event t ~name ~ph:"C" ~ts ~tid:0
-    ~args:(Printf.sprintf "\"value\":%g" value)
+    ~args:[ ("value", Json.float "%g" value) ]
     ()
 
-let complete t ~name ~ts ~dur ~tid ?(args = "") () =
+let complete t ~name ~ts ~dur ~tid ?args () =
   thread_meta t tid;
   if ts > t.now then t.now <- ts;
-  event t ~name ~ph:"X" ~ts ~tid
-    ~extra:(Printf.sprintf ",\"dur\":%d" dur)
-    ~args ()
+  event t ~name ~ph:"X" ~ts ~tid ~extra:[ ("dur", Json.int dur) ] ?args ()
 
 let sink t =
   {
@@ -195,7 +183,4 @@ let finalise t =
 
 let to_string t =
   finalise t;
-  Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n"
-    (Buffer.contents t.buf)
-
-let output t oc = output_string oc (to_string t)
+  Json.stream_to_string t.events [ ("displayTimeUnit", Json.Str "ms") ]

@@ -31,15 +31,19 @@ val counter : t -> name:string -> ts:int -> value:float -> unit
     [name] as its own counter track. *)
 
 val complete :
-  t -> name:string -> ts:int -> dur:int -> tid:int -> ?args:string -> unit -> unit
+  t ->
+  name:string ->
+  ts:int ->
+  dur:int ->
+  tid:int ->
+  ?args:(string * Json.t) list ->
+  unit ->
+  unit
 (** Emit a complete span ([ph = "X"]): a [B]/[E] pair in one event,
-    spanning [dur] microseconds from [ts] on track [tid]. [args] is a
-    raw JSON object body (the caller formats its own fields). *)
+    spanning [dur] microseconds from [ts] on track [tid], with [args]
+    as the event's [args] object. *)
 
 val to_string : t -> string
 (** Finalise (close any still-open spans) and render the complete JSON
     document. After finalising, feeding further events raises
     [Invalid_argument]. *)
-
-val output : t -> out_channel -> unit
-(** [output t oc] writes {!to_string} to [oc]. *)

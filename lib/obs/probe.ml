@@ -5,8 +5,8 @@
    call its callbacks when one is installed. With no sink installed
    every probe point is a load-and-branch — no allocation, no callback,
    no change to any execution — which is what keeps the arena hot path
-   at full throughput with Probe compiled in (gated by
-   scripts/perf_regress.sh).
+   at full throughput with Probe compiled in (gate row
+   parallel_sweep.trials_per_sec_domains_1.vs_baseline in bench/gate.ml).
 
    The slot is domain-local rather than global so parallel Engine
    workers can each collect into their own sink without synchronisation;

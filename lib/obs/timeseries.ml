@@ -369,73 +369,46 @@ let percentile qw p =
 
 (* {1 Export} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json s =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"rtas-timeseries/1\",\n";
-  add (Printf.sprintf "  \"window_ticks\": %g,\n" s.s_window);
-  add (Printf.sprintf "  \"windows\": %d,\n" (windows s));
-  let obj name entries render =
-    add (Printf.sprintf "  \"%s\": {" name);
-    List.iteri
-      (fun i (n, v) ->
-        if i > 0 then add ",";
-        add (Printf.sprintf "\n    \"%s\": " (json_escape n));
-        render v)
-      entries;
-    if entries <> [] then add "\n  ";
-    add "}"
+  let series render entries =
+    Json.Obj (List.map (fun (name, v) -> (name, render v)) entries)
   in
-  obj "counters" s.s_counters (fun cells ->
-      add "[";
-      List.iteri
-        (fun i (w, v) ->
-          if i > 0 then add ", ";
-          add (Printf.sprintf "[%d, %d]" w v))
-        cells;
-      add "]");
-  add ",\n";
-  obj "gauges" s.s_gauges (fun cells ->
-      add "[";
-      List.iteri
-        (fun i (w, v) ->
-          if i > 0 then add ", ";
-          add (Printf.sprintf "[%d, %g]" w v))
-        cells;
-      add "]");
-  add ",\n";
-  obj "quantiles" s.s_quantiles (fun q ->
-      add (Printf.sprintf "{\"scheme\": \"%s\", \"windows\": [" (json_escape q.qs_scheme));
-      List.iteri
-        (fun i qw ->
-          if i > 0 then add ", ";
-          add
-            (Printf.sprintf
-               "{\"window\": %d, \"n\": %d, \"mean\": %g, \"p50\": %g, \
-                \"p90\": %g, \"p99\": %g, \"max\": %g}"
-               qw.qw_win
-               qw.qw_n
-               (qw.qw_sum /. float_of_int qw.qw_n)
-               (percentile qw 0.5) (percentile qw 0.9) (percentile qw 0.99)
-               qw.qw_max))
-        q.qs_windows;
-      add "]}");
-  add "\n}\n";
-  Buffer.contents b
+  let cells value cells =
+    Json.Arr (List.map (fun (w, v) -> Json.Arr [ Json.int w; value v ]) cells)
+  in
+  let stat = Json.float "%g" in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "rtas-timeseries/1");
+         ("window_ticks", stat s.s_window);
+         ("windows", Json.int (windows s));
+         ("counters", series (cells Json.int) s.s_counters);
+         ("gauges", series (cells stat) s.s_gauges);
+         ( "quantiles",
+           series
+             (fun q ->
+               Json.Obj
+                 [
+                   ("scheme", Json.Str q.qs_scheme);
+                   ( "windows",
+                     Json.Arr
+                       (List.map
+                          (fun qw ->
+                            Json.Obj
+                              [
+                                ("window", Json.int qw.qw_win);
+                                ("n", Json.int qw.qw_n);
+                                ("mean", stat (qw.qw_sum /. float_of_int qw.qw_n));
+                                ("p50", stat (percentile qw 0.5));
+                                ("p90", stat (percentile qw 0.9));
+                                ("p99", stat (percentile qw 0.99));
+                                ("max", stat qw.qw_max);
+                              ])
+                          q.qs_windows) );
+                 ])
+             s.s_quantiles );
+       ])
 
 let sanitize name =
   String.map

@@ -106,7 +106,7 @@ val default : algorithm:string -> config
     ticks, no chaos, seed 1. *)
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on out-of-range fields. *)
+(** Raises [Invalid_argument] on out-of-range or non-finite fields. *)
 
 val run :
   ?metrics:Obs.Metrics.t ->

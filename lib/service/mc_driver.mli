@@ -47,7 +47,7 @@ type config = {
 val default : algorithm:string -> config
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on out-of-range fields. *)
+(** Raises [Invalid_argument] on out-of-range or non-finite fields. *)
 
 val run :
   ?metrics:Obs.Metrics.t -> ?telemetry:Telemetry.sink -> config -> Report.t

@@ -11,20 +11,6 @@ type counts = {
   stale_wins : int;
 }
 
-let zero_counts ~clients =
-  {
-    clients;
-    completed = 0;
-    deadline_exceeded = 0;
-    crashed_clients = 0;
-    holder_crashes = 0;
-    forced_expiries = 0;
-    shed = 0;
-    retries = 0;
-    rounds = 0;
-    stale_wins = 0;
-  }
-
 type latency = {
   l_mode : string;  (* "exact" or "hist" *)
   l_n : int;
@@ -101,62 +87,60 @@ let balanced ?(shed_terminal = true) c =
   + (if shed_terminal then c.shed else 0)
   = c.clients
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The counts by name, in report order: the JSON [counts] object and
+   the [service.*] metrics share it. *)
+let count_fields c =
+  [
+    ("clients", c.clients);
+    ("completed", c.completed);
+    ("deadline_exceeded", c.deadline_exceeded);
+    ("crashed_clients", c.crashed_clients);
+    ("holder_crashes", c.holder_crashes);
+    ("forced_expiries", c.forced_expiries);
+    ("shed", c.shed);
+    ("retries", c.retries);
+    ("rounds", c.rounds);
+    ("stale_wins", c.stale_wins);
+  ]
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add (Printf.sprintf "  \"backend\": \"%s\",\n" (json_escape t.backend));
-  add (Printf.sprintf "  \"algorithm\": \"%s\",\n" (json_escape t.algorithm));
-  add (Printf.sprintf "  \"keys\": %d,\n" t.keys);
-  add (Printf.sprintf "  \"zipf_s\": %g,\n" t.zipf_s);
-  add (Printf.sprintf "  \"arrival\": \"%s\",\n" (json_escape t.arrival));
-  add (Printf.sprintf "  \"backoff\": \"%s\",\n" (json_escape t.backoff));
-  add (Printf.sprintf "  \"deadline_ticks\": %g,\n" t.deadline);
-  add (Printf.sprintf "  \"hold_ticks\": %g,\n" t.hold);
-  add (Printf.sprintf "  \"crash_prob\": %g,\n" t.crash_prob);
-  add (Printf.sprintf "  \"workers\": %d,\n" t.workers);
-  add (Printf.sprintf "  \"seed\": %Ld,\n" t.seed);
-  add (Printf.sprintf "  \"duration_ticks\": %.3f,\n" t.duration);
-  add (Printf.sprintf "  \"throughput_per_ktick\": %.6f,\n" t.throughput);
-  let c = t.counts in
-  add
-    (Printf.sprintf
-       "  \"counts\": {\"clients\": %d, \"completed\": %d, \
-        \"deadline_exceeded\": %d, \"crashed_clients\": %d, \
-        \"holder_crashes\": %d, \"forced_expiries\": %d, \"shed\": %d, \
-        \"retries\": %d, \"rounds\": %d, \"stale_wins\": %d},\n"
-       c.clients c.completed c.deadline_exceeded c.crashed_clients
-       c.holder_crashes c.forced_expiries c.shed c.retries c.rounds
-       c.stale_wins);
-  (match t.latency with
-  | None -> add "  \"latency\": null,\n"
-  | Some l ->
-      add
-        (Printf.sprintf
-           "  \"latency\": {\"mode\": \"%s\", \"n\": %d, \"mean\": %.3f, \
-            \"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \"p999\": %.3f, \
-            \"max\": %.3f},\n"
-           (json_escape l.l_mode) l.l_n l.l_mean l.l_p50 l.l_p95 l.l_p99
-           l.l_p999 l.l_max));
-  add (Printf.sprintf "  \"livelocked\": %b,\n" t.livelocked);
-  (match t.diagnosis with
-  | None -> add "  \"diagnosis\": null\n"
-  | Some d -> add (Printf.sprintf "  \"diagnosis\": \"%s\"\n" (json_escape d)));
-  add "}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  J.to_string
+    (J.Obj
+       [
+         ("backend", J.Str t.backend);
+         ("algorithm", J.Str t.algorithm);
+         ("keys", J.int t.keys);
+         ("zipf_s", J.float "%g" t.zipf_s);
+         ("arrival", J.Str t.arrival);
+         ("backoff", J.Str t.backoff);
+         ("deadline_ticks", J.float "%g" t.deadline);
+         ("hold_ticks", J.float "%g" t.hold);
+         ("crash_prob", J.float "%g" t.crash_prob);
+         ("workers", J.int t.workers);
+         ("seed", J.Num (Int64.to_string t.seed));
+         ("duration_ticks", J.float "%.3f" t.duration);
+         ("throughput_per_ktick", J.float "%.6f" t.throughput);
+         ( "counts",
+           J.Obj (List.map (fun (k, v) -> (k, J.int v)) (count_fields t.counts)) );
+         ( "latency",
+           match t.latency with
+           | None -> J.Null
+           | Some l ->
+               J.Obj
+                 [
+                   ("mode", J.Str l.l_mode);
+                   ("n", J.int l.l_n);
+                   ("mean", J.float "%.3f" l.l_mean);
+                   ("p50", J.float "%.3f" l.l_p50);
+                   ("p95", J.float "%.3f" l.l_p95);
+                   ("p99", J.float "%.3f" l.l_p99);
+                   ("p999", J.float "%.3f" l.l_p999);
+                   ("max", J.float "%.3f" l.l_max);
+                 ] );
+         ("livelocked", J.Bool t.livelocked);
+         ("diagnosis", match t.diagnosis with None -> J.Null | Some d -> J.Str d);
+       ])
 
 let pp ppf t =
   let c = t.counts in
@@ -187,15 +171,6 @@ let pp ppf t =
    so service results aggregate and print through the same
    [Obs.Metrics] snapshot machinery as the chaos and profile layers. *)
 let observe_metrics m t =
-  let c = t.counts in
-  let bump name v = Obs.Metrics.add (Obs.Metrics.counter m name) v in
-  bump "service.clients" c.clients;
-  bump "service.completed" c.completed;
-  bump "service.deadline_exceeded" c.deadline_exceeded;
-  bump "service.crashed_clients" c.crashed_clients;
-  bump "service.holder_crashes" c.holder_crashes;
-  bump "service.forced_expiries" c.forced_expiries;
-  bump "service.shed" c.shed;
-  bump "service.retries" c.retries;
-  bump "service.rounds" c.rounds;
-  bump "service.stale_wins" c.stale_wins
+  List.iter
+    (fun (name, v) -> Obs.Metrics.add (Obs.Metrics.counter m ("service." ^ name)) v)
+    (count_fields t.counts)

@@ -20,7 +20,8 @@ type counts = {
   stale_wins : int;  (** Wins voided because the round had expired. *)
 }
 
-val zero_counts : clients:int -> counts
+val count_fields : counts -> (string * int) list
+(** Every count by its name in the JSON report, in report order. *)
 
 val balanced : ?shed_terminal:bool -> counts -> bool
 (** Every client ended in exactly one terminal bucket:

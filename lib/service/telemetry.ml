@@ -78,19 +78,9 @@ let snapshot r = TS.snapshot r.ts
    every client's first service contact, so it sums to the client
    count on any run that drains its schedule. *)
 let totals (t : Report.t) =
-  let c = t.Report.counts in
-  [
-    ("service.arrivals", c.Report.clients);
-    ("service.completed", c.Report.completed);
-    ("service.deadline_exceeded", c.Report.deadline_exceeded);
-    ("service.crashed_clients", c.Report.crashed_clients);
-    ("service.holder_crashes", c.Report.holder_crashes);
-    ("service.forced_expiries", c.Report.forced_expiries);
-    ("service.shed", c.Report.shed);
-    ("service.retries", c.Report.retries);
-    ("service.stale_wins", c.Report.stale_wins);
-    ("service.rounds", c.Report.rounds);
-  ]
+  List.map
+    (fun (k, v) -> ((if k = "clients" then "service.arrivals" else "service." ^ k), v))
+    (Report.count_fields t.Report.counts)
 
 let counter_mismatches snap report =
   let expected = totals report in

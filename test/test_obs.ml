@@ -1,7 +1,7 @@
 (* Tests for the Probe observability layer: metrics merge algebra, the
    no-sink bit-identity guarantee, per-worker collector merging across
-   domain counts, collector span accounting (incl. crashes), and the
-   structure of the Perfetto trace-event export. *)
+   domain counts, collector span accounting (incl. crashes), the JSON
+   layer, and the structure of the Perfetto trace-event export. *)
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -253,166 +253,84 @@ let test_collector_unclosed_on_crash () =
         (Array.length doomed.Obs.Collector.ps_step_samples);
       checki "crash seen" 1 sn.Obs.Collector.sn_crashes
 
-(* {1 Perfetto export: JSON validity and span structure}
+(* {1 JSON}
 
-   A miniature JSON parser — no JSON library in the tree — that accepts
-   exactly the standard grammar; enough to assert the exporter emits
-   well-formed documents with the fields Perfetto requires. *)
+   The one JSON layer every exporter writes through: a printed value
+   parses back to itself (escapes included), [\u] escapes decode to
+   UTF-8, non-finite floats print as null, and a streamed document is
+   the text of the same tree printed whole. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module J = Obs.Json
 
-exception Bad of string
+let gen_json =
+  let open QCheck2.Gen in
+  let specials = oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031'; '/' ] in
+  let str = string_size ~gen:(oneof [ char; specials ]) (0 -- 12) in
+  let leaf =
+    oneof
+      [
+        pure J.Null;
+        map (fun b -> J.Bool b) bool;
+        map J.int int;
+        map (J.float "%.3f") (float_range (-1e6) 1e6);
+        map (J.float "%g") float;
+        map (fun s -> J.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let items g = list_size (0 -- 4) g in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> J.Arr l) (items (self (n / 4))));
+               (1, map (fun l -> J.Obj l) (items (pair str (self (n / 4)))));
+             ])
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some (('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c) ->
-              advance ();
-              Buffer.add_char b c;
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let digits () =
-      let any = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-            any := true;
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      if not !any then fail "expected digit"
-    in
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Jobj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          Jarr (elements [])
-        end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "expected value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
+let prop_json_round_trip =
+  QCheck2.Test.make ~count:500 ~name:"parse (to_string v) = v"
+    ~print:J.to_string gen_json (fun v -> J.parse (J.to_string v) = v)
 
-let mem key = function Jobj kvs -> List.assoc_opt key kvs | _ -> None
+let test_json_decoding () =
+  let str = Alcotest.testable (fun ppf v -> Fmt.string ppf (J.to_string v)) ( = ) in
+  check str "\\u escapes decode to UTF-8, surrogate pairs joined"
+    (J.Str "\xc3\xa9\xf0\x9f\x98\x80\x01/\"\\")
+    (J.parse {|"\u00e9\ud83d\ude00\u0001\/\"\\"|});
+  check str "numbers keep their literal"
+    (J.Arr [ J.Num "-0.50"; J.Num "1e+06"; J.Num "0" ])
+    (J.parse " [-0.50, 1e+06 ,0] ");
+  List.iter
+    (fun bad ->
+      match J.parse bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception J.Parse_error _ -> ())
+    [ {|"\ud83d"|}; {|"\udc00"|}; "01"; "[1,]"; "{\"a\" 1}"; "tru"; "\"a\nb\""; "1 2" ];
+  check str "non-finite floats print as null"
+    (J.Arr [ J.Null; J.Null; J.Num "1.5" ])
+    (J.Arr [ J.float "%g" Float.infinity; J.float "%g" Float.nan; J.float "%g" 1.5 ])
+
+let test_json_stream () =
+  let rest = [ ("unit", J.Str "ms"); ("n", J.int 2) ] in
+  let events =
+    [ J.Obj [ ("a", J.int 1); ("b", J.Arr [ J.Null ]) ]; J.Str "x"; J.Arr [] ]
+  in
+  let s = J.stream "ev\"ents" in
+  check Alcotest.string "empty stream" (J.to_string (J.Obj (("ev\"ents", J.Arr []) :: rest)))
+    (J.stream_to_string s rest);
+  List.iter (J.push s) events;
+  check Alcotest.string "streamed = printed whole"
+    (J.to_string (J.Obj (("ev\"ents", J.Arr events) :: rest)))
+    (J.stream_to_string s rest)
+
+(* {1 Perfetto export: JSON validity and span structure} *)
+
+(* The events of an exported trace; the export must parse. *)
+let trace_events chrome =
+  match J.member "traceEvents" (J.parse (Obs.Chrome_trace.to_string chrome)) with
+  | J.Arr evs -> evs
+  | _ -> Alcotest.fail "missing traceEvents array"
 
 let test_chrome_trace_structure () =
   let chrome = Obs.Chrome_trace.create () in
@@ -424,20 +342,11 @@ let test_chrome_trace_structure () =
       in
       let sched = Sim.Sched.create ~seed:3L progs in
       Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:3L));
-  let doc =
-    match parse_json (Obs.Chrome_trace.to_string chrome) with
-    | doc -> doc
-    | exception Bad msg -> Alcotest.fail ("invalid JSON: " ^ msg)
-  in
-  let events =
-    match mem "traceEvents" doc with
-    | Some (Jarr evs) -> evs
-    | _ -> Alcotest.fail "missing traceEvents array"
-  in
+  let events = trace_events chrome in
   checkb "has events" true (events <> []);
   (* Perfetto essentials: every event carries ph/ts/pid/tid with the
      right types, and B/E spans nest (LIFO per track). *)
-  let stacks : (float, string list ref) Hashtbl.t = Hashtbl.create 8 in
+  let stacks : (string, string list ref) Hashtbl.t = Hashtbl.create 8 in
   let stack tid =
     match Hashtbl.find_opt stacks tid with
     | Some s -> s
@@ -448,20 +357,17 @@ let test_chrome_trace_structure () =
   in
   List.iter
     (fun ev ->
-      let ph =
-        match mem "ph" ev with
-        | Some (Jstr p) -> p
-        | _ -> Alcotest.fail "event without ph"
+      let str field =
+        match J.member field ev with
+        | J.Str s -> s
+        | _ -> Alcotest.fail ("event without " ^ field)
       in
-      (match (mem "ts" ev, mem "pid" ev, mem "tid" ev) with
-      | Some (Jnum _), Some (Jnum _), Some (Jnum _) -> ()
-      | _ -> Alcotest.fail "event missing ts/pid/tid number");
-      let name =
-        match mem "name" ev with
-        | Some (Jstr s) -> s
-        | _ -> Alcotest.fail "event without name"
+      let ph = str "ph" and name = str "name" in
+      let tid =
+        match (J.member "ts" ev, J.member "pid" ev, J.member "tid" ev) with
+        | J.Num _, J.Num _, J.Num tid -> tid
+        | _ -> Alcotest.fail "event missing ts/pid/tid number"
       in
-      let tid = match mem "tid" ev with Some (Jnum t) -> t | _ -> 0.0 in
       match ph with
       | "B" -> stack tid := name :: !(stack tid)
       | "E" -> (
@@ -479,8 +385,8 @@ let test_chrome_trace_structure () =
   let phases =
     List.filter_map
       (fun ev ->
-        match (mem "ph" ev, mem "name" ev) with
-        | Some (Jstr "B"), Some (Jstr name) -> Some name
+        match (J.member "ph" ev, J.member "name" ev) with
+        | J.Str "B", J.Str name -> Some name
         | _ -> None)
       events
   in
@@ -500,17 +406,11 @@ let test_chrome_trace_crash_closes_spans () =
       let sched = Sim.Sched.create ~seed:1L [| program |] in
       Sim.Sched.step sched 0;
       Sim.Sched.crash sched 0);
-  match parse_json (Obs.Chrome_trace.to_string chrome) with
-  | exception Bad msg -> Alcotest.fail ("invalid JSON: " ^ msg)
-  | doc -> (
-      match mem "traceEvents" doc with
-      | Some (Jarr evs) ->
-          let count ph =
-            List.length
-              (List.filter (fun ev -> mem "ph" ev = Some (Jstr ph)) evs)
-          in
-          checki "crashed span closed by exporter" (count "B") (count "E")
-      | _ -> Alcotest.fail "missing traceEvents")
+  let evs = trace_events chrome in
+  let count ph =
+    List.length (List.filter (fun ev -> J.member "ph" ev = J.Str ph) evs)
+  in
+  checki "crashed span closed by exporter" (count "B") (count "E")
 
 (* {1 Gauges} *)
 
@@ -673,10 +573,12 @@ let test_timeseries_export () =
   TS.set (TS.gauge ts "svc.depth") ~at:3.0 5.0;
   TS.observe (TS.quantile ts lin8 "svc.lat") ~at:2.0 4.5;
   let s = TS.snapshot ts in
-  let json = TS.to_json s in
+  let json = J.parse (TS.to_json s) in
   checkb "json carries the schema tag" true
-    (contains json "\"schema\": \"rtas-timeseries/1\"");
-  checkb "json counter pairs" true (contains json "[[0, 1], [1, 1]]");
+    (J.member "schema" json = J.Str "rtas-timeseries/1");
+  checkb "json counter pairs" true
+    (J.member "svc.ev" (J.member "counters" json)
+    = J.Arr [ J.Arr [ J.int 0; J.int 1 ]; J.Arr [ J.int 1; J.int 1 ] ]);
   let om = TS.to_openmetrics s in
   checkb "openmetrics sanitizes and prefixes" true
     (contains om "rtas_svc_ev_total{window=\"0\"} 1");
@@ -685,23 +587,13 @@ let test_timeseries_export () =
   checkb "openmetrics ends with EOF" true (contains om "# EOF\n");
   let tr = Obs.Chrome_trace.create () in
   TS.to_chrome s tr;
-  let out = Obs.Chrome_trace.to_string tr in
-  match parse_json out with
-  | exception Bad msg -> Alcotest.fail ("invalid trace JSON: " ^ msg)
-  | doc -> (
-      match mem "traceEvents" doc with
-      | Some (Jarr evs) ->
-          let counters =
-            List.filter (fun ev -> mem "ph" ev = Some (Jstr "C")) evs
-          in
-          checkb "counter events present" true (List.length counters > 0);
-          checkb "every event carries ph/ts/pid" true
-            (List.for_all
-               (fun ev ->
-                 mem "ph" ev <> None && mem "ts" ev <> None
-                 && mem "pid" ev <> None)
-               evs)
-      | _ -> Alcotest.fail "missing traceEvents")
+  let evs = trace_events tr in
+  checkb "counter events present" true
+    (List.exists (fun ev -> J.member "ph" ev = J.Str "C") evs);
+  checkb "every event carries ph/ts/pid" true
+    (List.for_all
+       (fun ev -> List.for_all (fun f -> J.member f ev <> J.Null) [ "ph"; "ts"; "pid" ])
+       evs)
 
 let () =
   Alcotest.run "obs"
@@ -746,6 +638,13 @@ let () =
             test_collector_attribution;
           Alcotest.test_case "crash leaves unclosed span" `Quick
             test_collector_unclosed_on_crash;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          Alcotest.test_case "escapes, literals, errors" `Quick test_json_decoding;
+          Alcotest.test_case "streamed document = whole tree" `Quick
+            test_json_stream;
         ] );
       ( "chrome-trace",
         [

@@ -5,11 +5,6 @@
 let checkb msg expected actual = Alcotest.(check bool) msg expected actual
 let checki msg expected actual = Alcotest.(check int) msg expected actual
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* {1 Round isolation, differentially}
 
    A resettable key that reuses its arena across rounds must behave, in
@@ -258,6 +253,55 @@ let test_driver_sheds_overload () =
   let c = r.Service.Report.counts in
   checkb "sheds under overload" true (c.Service.Report.shed > 0);
   checkb "balanced under shed" true (Service.Report.balanced c)
+
+(* {1 Config validation}
+
+   Every float in the config is checked before the run starts: an
+   infinite or NaN deadline, hold or rate used to reach the wheel and
+   die there, or print [inf] into the report. The exact validation
+   message shows the run was refused before its first event was
+   scheduled. *)
+
+let non_finite_cases =
+  let base = small_cfg () in
+  let arrival a = { base with Service.Driver.arrival = a } in
+  let backoff b = { base with Service.Driver.backoff = b } in
+  let bursty ?(rate = 0.02) ?(burst_len = 500.0) ?(idle_len = 2000.0)
+      ?(boost = 8.0) () =
+    arrival (Service.Arrival.Bursty { rate; burst_len; idle_len; boost })
+  in
+  let rate = "Arrival: rate must be finite and > 0" in
+  let window =
+    "Arrival: burst_len must be finite and > 0, idle_len finite and >= 0"
+  in
+  let exp = "Backoff: need 0 < base <= cap, both finite" in
+  [
+    ("deadline", "Driver: deadline must be finite and > 0", fun x ->
+        { base with Service.Driver.deadline = x });
+    ("hold", "Driver: hold must be finite and >= 0", fun x ->
+        { base with Service.Driver.hold = x });
+    ("crash_prob", "Driver: crash_prob must be in [0, 1]", fun x ->
+        { base with Service.Driver.crash_prob = x });
+    ("poisson rate", rate, fun x -> arrival (Service.Arrival.Poisson { rate = x }));
+    ("bursty rate", rate, fun x -> bursty ~rate:x ());
+    ("burst_len", window, fun x -> bursty ~burst_len:x ());
+    ("idle_len", window, fun x -> bursty ~idle_len:x ());
+    ("boost", "Arrival: boost must be finite and >= 1", fun x -> bursty ~boost:x ());
+    ("backoff base", exp, fun x -> backoff (Service.Backoff.Exp { base = x; cap = 512.0 }));
+    ("backoff cap", exp, fun x -> backoff (Service.Backoff.Exp { base = 8.0; cap = x }));
+    ("backoff max", "Backoff: max must be finite and >= 1", fun x ->
+        backoff (Service.Backoff.Rand { max = x }));
+    ("zipf s", "Zipf.create: s must be finite and >= 0", fun x ->
+        { base with Service.Driver.zipf_s = x });
+  ]
+  |> List.map (fun (field, msg, cfg_of) ->
+         Alcotest.test_case ("non-finite " ^ field ^ " rejected") `Quick (fun () ->
+             List.iter
+               (fun x ->
+                 Alcotest.check_raises (Printf.sprintf "%s = %g" field x)
+                   (Invalid_argument msg) (fun () ->
+                     ignore (Service.Driver.run (cfg_of x))))
+               [ Float.nan; Float.infinity; Float.neg_infinity ]))
 
 (* {1 The event engines, differentially}
 
@@ -611,8 +655,14 @@ let test_telemetry_trace () =
   (match sink.Service.Telemetry.trace_json with
   | None -> Alcotest.fail "trace sink produced no trace"
   | Some t ->
-      checkb "counter events" true (contains t "\"ph\":\"C\"");
-      checkb "round spans" true (contains t "\"name\":\"round\""));
+      let has field v =
+        match Obs.Json.(member "traceEvents" (parse t)) with
+        | Obs.Json.Arr evs ->
+            List.exists (fun ev -> Obs.Json.member field ev = Obs.Json.Str v) evs
+        | _ -> false
+      in
+      checkb "counter events" true (has "ph" "C");
+      checkb "round spans" true (has "name" "round"));
   let sink2 = Service.Telemetry.sink ~trace:true ~window:1000.0 () in
   Alcotest.check_raises "trace requires one shard"
     (Invalid_argument "Driver: telemetry trace requires shards = 1") (fun () ->
@@ -923,7 +973,8 @@ let () =
             test_driver_retry_on_shed;
           Alcotest.test_case "shards are report-invisible" `Quick
             test_driver_shards_identical;
-        ] );
+        ]
+        @ non_finite_cases );
       ( "events",
         [
           Alcotest.test_case "wheel = heap (120 seeds per dual entry)" `Slow
