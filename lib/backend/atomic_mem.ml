@@ -1,11 +1,16 @@
 type mem = { mutable count : int }
 type reg = int Atomic.t
 type ctx = { rng : Random.State.t option; slot : int }
+type name = unit
+
+let label _ = ()
+let sub () _ = ()
+let item () _ _ = ()
 
 let create () = { count = 0 }
 let allocated m = m.count
 
-let alloc m ~name:_ =
+let alloc m ~name:() =
   m.count <- m.count + 1;
   Atomic.make 0
 

@@ -12,12 +12,18 @@ type mem
 type reg = int Atomic.t
 type ctx
 
+type name = unit
+(** Names are discarded on atomics: a constructor formats none. *)
+
 val create : unit -> mem
 
 val allocated : mem -> int
 (** Registers allocated from this arena so far. *)
 
-val alloc : mem -> name:string -> reg
+val label : string -> name
+val sub : name -> string -> name
+val item : name -> string -> int -> name
+val alloc : mem -> name:name -> reg
 
 val ctx : ?rng:Random.State.t -> slot:int -> unit -> ctx
 (** [rng] may be omitted for purely deterministic algorithms (e.g. the

@@ -30,10 +30,26 @@ module type S = sig
   type ctx
   (** Per-process execution context: identity + coin source. *)
 
-  val alloc : mem -> name:string -> reg
-  (** Allocate a fresh register. [name] is diagnostic (trace/metric
-      labels in the simulator; ignored on atomics) but backends must not
-      let it affect behaviour. *)
+  type name
+  (** A register's diagnostic name (trace and metric labels). A
+      structure builds its registers' names from the name it was given,
+      with {!sub} and {!item}, as it allocates them. [Sim_mem] uses
+      [string], so the simulator's names are the literal strings below;
+      [Atomic_mem] uses [unit], so building an atomic structure formats
+      nothing. Backends must not let a name affect behaviour. *)
+
+  val label : string -> name
+  (** A root name, e.g. the default ["tournament"]. *)
+
+  val sub : name -> string -> name
+  (** [sub n s] is [n ^ s], e.g. [sub n ".race"]. *)
+
+  val item : name -> string -> int -> name
+  (** [item n field i] is [Printf.sprintf "%s.%s[%d]" n field i], the
+      name of element [i] of an array field, e.g. ["tree.rsp[3]"]. *)
+
+  val alloc : mem -> name:name -> reg
+  (** Allocate a fresh register. *)
 
   val self : ctx -> int
   (** The caller's contender slot, [0 .. n-1]. Algorithms use it for

@@ -1,6 +1,12 @@
 type mem = Sim.Memory.t
 type reg = Sim.Register.t
 type ctx = Sim.Ctx.t
+type name = string
+
+let label s = s
+let sub = ( ^ )
+let item n field i =
+  String.concat "" [ n; "."; field; "["; string_of_int i; "]" ]
 
 let alloc mem ~name = Sim.Register.create ~name mem
 let self = Sim.Ctx.pid

@@ -1,5 +1,4 @@
 type 'ctx gen = {
-  ge_name : string;
   elect : 'ctx -> bool;
 }
 

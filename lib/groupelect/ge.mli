@@ -10,7 +10,6 @@
     instantiation almost all call sites use. *)
 
 type 'ctx gen = {
-  ge_name : string;
   elect : 'ctx -> bool;  (** At most one call per process. *)
 }
 

@@ -1,3 +1,3 @@
-let gen ?(name = "dummy") () = { Ge.ge_name = name; elect = (fun _ -> true) }
+let gen () = { Ge.elect = (fun _ -> true) }
 
-let create ?name () : Ge.t = gen ?name ()
+let create () : Ge.t = gen ()

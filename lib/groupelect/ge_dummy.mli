@@ -5,8 +5,8 @@
     probability 1 - 1/n the real levels are never exhausted, so the
     remaining ones can be free — which caps the space at O(n). *)
 
-val gen : ?name:string -> unit -> 'ctx Ge.gen
+val gen : unit -> 'ctx Ge.gen
 (** Backend-polymorphic: the dummy never touches shared memory, so one
     value serves every {!Backend.Mem.S} context type. *)
 
-val create : ?name:string -> unit -> Ge.t
+val create : unit -> Ge.t

@@ -5,13 +5,13 @@ let level n =
 let registers ~n = level n + 2
 
 module Make (M : Backend.Mem.S) = struct
-  let create ?(name = "ge") mem ~n =
+  let create ?(name = M.label "ge") mem ~n =
     let l = level n in
     let r =
       Array.init (l + 1) (fun i ->
-          M.alloc mem ~name:(Printf.sprintf "%s.R[%d]" name (i + 1)))
+          M.alloc mem ~name:(M.item name "R" (i + 1)))
     in
-    let flag = M.alloc mem ~name:(name ^ ".flag") in
+    let flag = M.alloc mem ~name:(M.sub name ".flag") in
     let elect ctx =
       M.enter ctx "ge_round";
       let won =
@@ -26,7 +26,7 @@ module Make (M : Backend.Mem.S) = struct
       M.leave ctx "ge_round";
       won
     in
-    { Ge.ge_name = name; elect }
+    { Ge.elect }
 end
 
 include Make (Backend.Sim_mem)

@@ -16,7 +16,7 @@ val level : int -> int
     so alternative kernels can reproduce the draw bit-for-bit. *)
 
 module Make (M : Backend.Mem.S) : sig
-  val create : ?name:string -> M.mem -> n:int -> M.ctx Ge.gen
+  val create : ?name:M.name -> M.mem -> n:int -> M.ctx Ge.gen
 end
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> Ge.t

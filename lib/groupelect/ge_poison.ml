@@ -1,13 +1,13 @@
 let max_cells = 16
 
 module Make (M : Backend.Mem.S) = struct
-  let create ?(name = "poison") mem ~size ~write_prob =
+  let create ?(name = M.label "poison") mem ~size ~write_prob =
     if size < 1 then invalid_arg "Ge_poison.create: size must be >= 1";
     if not (write_prob > 0.0 && write_prob <= 1.0) then
       invalid_arg "Ge_poison.create: write_prob must be in (0, 1]";
     let cells =
       Array.init size (fun i ->
-          M.alloc mem ~name:(Printf.sprintf "%s.cell[%d]" name i))
+          M.alloc mem ~name:(M.item name "cell" i))
     in
     let threshold =
       max 1 (int_of_float (write_prob *. float_of_int Ge_sift.resolution))
@@ -34,7 +34,7 @@ module Make (M : Backend.Mem.S) = struct
       M.leave ctx "poison_round";
       won
     in
-    { Ge.ge_name = name; elect }
+    { Ge.elect }
 end
 
 include Make (Backend.Sim_mem)

@@ -34,7 +34,7 @@ val max_cells : int
 
 module Make (M : Backend.Mem.S) : sig
   val create :
-    ?name:string -> M.mem -> size:int -> write_prob:float -> M.ctx Ge.gen
+    ?name:M.name -> M.mem -> size:int -> write_prob:float -> M.ctx Ge.gen
 end
 
 val create :

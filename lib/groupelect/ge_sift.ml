@@ -1,10 +1,10 @@
 let resolution = 1 lsl 20
 
 module Make (M : Backend.Mem.S) = struct
-  let create ?(name = "sift") mem ~write_prob =
+  let create ?(name = M.label "sift") mem ~write_prob =
     if not (write_prob > 0.0 && write_prob <= 1.0) then
       invalid_arg "Ge_sift.create: write_prob must be in (0, 1]";
-    let r = M.alloc mem ~name:(name ^ ".r") in
+    let r = M.alloc mem ~name:(M.sub name ".r") in
     let threshold =
       int_of_float (write_prob *. float_of_int resolution)
     in
@@ -21,7 +21,7 @@ module Make (M : Backend.Mem.S) = struct
       M.leave ctx "sift_round";
       won
     in
-    { Ge.ge_name = name; elect }
+    { Ge.elect }
 end
 
 include Make (Backend.Sim_mem)

@@ -18,7 +18,7 @@ val resolution : int
     alternative kernels can reproduce the draw bit-for-bit. *)
 
 module Make (M : Backend.Mem.S) : sig
-  val create : ?name:string -> M.mem -> write_prob:float -> M.ctx Ge.gen
+  val create : ?name:M.name -> M.mem -> write_prob:float -> M.ctx Ge.gen
 end
 
 val create : ?name:string -> Sim.Memory.t -> write_prob:float -> Ge.t

@@ -10,16 +10,16 @@ module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) = struct
     les : Duel.t array;
   }
 
-  let create mem ?(name = "chain") ges =
+  let create mem ?(name = M.label "chain") ges =
     let n = Array.length ges in
     {
       ges;
       sps =
         Array.init n (fun i ->
-            Sp.create ~name:(Printf.sprintf "%s.sp[%d]" name i) mem);
+            Sp.create ~name:(M.item name "sp" i) mem);
       les =
         Array.init n (fun i ->
-            Duel.create ~name:(Printf.sprintf "%s.le[%d]" name i) mem);
+            Duel.create ~name:(M.item name "le" i) mem);
     }
 
   let levels t = Array.length t.ges

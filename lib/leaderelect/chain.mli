@@ -22,7 +22,7 @@ type forward = F_lost | F_stopped of int | F_exhausted
 module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) : sig
   type t
 
-  val create : M.mem -> ?name:string -> M.ctx Groupelect.Ge.gen array -> t
+  val create : M.mem -> ?name:M.name -> M.ctx Groupelect.Ge.gen array -> t
   val levels : t -> int
   val forward : t -> M.ctx -> from_level:int -> upto:int -> forward
   val backward : t -> M.ctx -> stopped_at:int -> bool
@@ -32,7 +32,7 @@ end
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : M.mem -> ?name:string -> M.ctx Groupelect.Ge.gen array -> t
+  val create : M.mem -> ?name:M.name -> M.ctx Groupelect.Ge.gen array -> t
   val levels : t -> int
   val forward : t -> M.ctx -> from_level:int -> upto:int -> forward
   val backward : t -> M.ctx -> stopped_at:int -> bool

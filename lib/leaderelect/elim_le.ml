@@ -3,7 +3,7 @@ module Make (M : Backend.Mem.S) = struct
 
   type t = Path.t
 
-  let create ?(name = "elim") mem ~n =
+  let create ?(name = M.label "elim") mem ~n =
     if n < 1 then invalid_arg "Elim_le.create: n must be >= 1";
     Path.create ~name mem ~length:n
 

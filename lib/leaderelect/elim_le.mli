@@ -15,7 +15,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
 
   val elect : t -> M.ctx -> bool
   (** [M.self] must be distinct per caller (it seeds the splitter

@@ -33,9 +33,7 @@ let make_rung ?(name = "rung") mem ~capacity ~last =
             ~name:(Printf.sprintf "%s.sift[%d]" name i)
             mem ~write_prob:probs.(i)
         else
-          Groupelect.Ge_dummy.create
-            ~name:(Printf.sprintf "%s.dummy[%d]" name i)
-            ())
+          Groupelect.Ge_dummy.create ())
   in
   { chain = Chain.create mem ~name ges; sift_levels; last }
 

@@ -15,7 +15,7 @@ let create ?(name = "logstar") ?cutoff mem ~n =
           Groupelect.Ge_logstar.create
             ~name:(Printf.sprintf "%s.ge[%d]" name i)
             mem ~n
-        else Groupelect.Ge_dummy.create ~name:(Printf.sprintf "%s.dummy[%d]" name i) ())
+        else Groupelect.Ge_dummy.create ())
   in
   { chain = Chain.create mem ~name ges }
 

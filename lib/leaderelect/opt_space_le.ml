@@ -14,23 +14,18 @@ module Make (M : Backend.Mem.S) = struct
     levels : int;
   }
 
-  let create ?(name = "optspace") mem ~n =
+  let create ?(name = M.label "optspace") mem ~n =
     if n < 1 then invalid_arg "Opt_space_le.create: n must be >= 1";
     let probs = Groupelect.Ge_sift.probability_schedule ~n in
     let sifts =
       Array.mapi
         (fun i p ->
-          Ge_s.create
-            ~name:(Printf.sprintf "%s.lvl[%d]" name i)
-            mem ~write_prob:p)
+          Ge_s.create ~name:(M.item name "lvl" i) mem ~write_prob:p)
         probs
     in
     let levels = chain_levels ~n in
     let ges =
-      Array.init levels (fun i ->
-          Groupelect.Ge_dummy.gen
-            ~name:(Printf.sprintf "%s.dummy[%d]" name i)
-            ())
+      Array.init levels (fun _ -> Groupelect.Ge_dummy.gen ())
     in
     { sifts; chain = C.create mem ~name ges; levels }
 

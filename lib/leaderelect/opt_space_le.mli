@@ -33,7 +33,7 @@ val chain_levels : n:int -> int
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
 
   val elect : t -> M.ctx -> bool
 end

@@ -4,7 +4,7 @@ module Make (M : Backend.Mem.S) = struct
 
   type t = { chain : C.t }
 
-  let create ?(name = "poison") mem ~n =
+  let create ?(name = M.label "poison") mem ~n =
     if n < 1 then invalid_arg "Poison_le.create: n must be >= 1";
     let sched = Groupelect.Ge_poison.schedule ~n in
     let plen = min (Array.length sched) n in
@@ -13,12 +13,10 @@ module Make (M : Backend.Mem.S) = struct
           if i < plen then
             let write_prob, size = sched.(i) in
             Ge_p.create
-              ~name:(Printf.sprintf "%s.ge[%d]" name i)
+              ~name:(M.item name "ge" i)
               mem ~size ~write_prob
           else
-            Groupelect.Ge_dummy.gen
-              ~name:(Printf.sprintf "%s.dummy[%d]" name i)
-              ())
+            Groupelect.Ge_dummy.gen ())
     in
     { chain = C.create mem ~name ges }
 

@@ -7,7 +7,7 @@ module Make (M : Backend.Mem.S) = struct
     finisher : T.t;
   }
 
-  let create ?(name = "sift") mem ~n =
+  let create ?(name = M.label "sift") mem ~n =
     if n < 1 then invalid_arg "Sift_le.create: n must be >= 1";
     let probs = Groupelect.Ge_sift.probability_schedule ~n in
     {
@@ -15,10 +15,10 @@ module Make (M : Backend.Mem.S) = struct
         Array.mapi
           (fun i p ->
             Ge_s.create
-              ~name:(Printf.sprintf "%s.lvl[%d]" name i)
+              ~name:(M.item name "lvl" i)
               mem ~write_prob:p)
           probs;
-      finisher = T.create ~name:(name ^ ".fin") mem ~n;
+      finisher = T.create ~name:(M.sub name ".fin") mem ~n;
     }
 
   let elect t ctx =

@@ -18,7 +18,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
 
   val elect : t -> M.ctx -> bool
   (** Uses [M.self] as the tournament leaf; requires it below [n]

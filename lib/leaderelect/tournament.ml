@@ -10,13 +10,13 @@ module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) = struct
     leaves : int;
   }
 
-  let create ?(name = "tournament") mem ~n =
+  let create ?(name = M.label "tournament") mem ~n =
     if n < 1 then invalid_arg "Tournament.create: n must be >= 1";
     let leaves = pow2_at_least n in
     {
       les =
         Array.init leaves (fun v ->
-            Duel.create ~name:(Printf.sprintf "%s.le[%d]" name v) mem);
+            Duel.create ~name:(M.item name "le" v) mem);
       leaves;
     }
 

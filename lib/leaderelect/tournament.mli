@@ -16,7 +16,7 @@
 module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
 
   val slots : t -> int
   (** Leaf count ([n] rounded up to a power of two). *)
@@ -28,7 +28,7 @@ end
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
 
   val slots : t -> int
   (** Leaf count ([n] rounded up to a power of two). *)

@@ -4,7 +4,7 @@
 module type S = functor (M : Backend.Mem.S) -> sig
   type t
 
-  val create : ?name:string -> M.mem -> t
+  val create : ?name:M.name -> M.mem -> t
 
   val elect : t -> M.ctx -> port:int -> bool
 end

@@ -18,7 +18,7 @@
 module type S = functor (M : Backend.Mem.S) -> sig
   type t
 
-  val create : ?name:string -> M.mem -> t
+  val create : ?name:M.name -> M.mem -> t
 
   val elect : t -> M.ctx -> port:int -> bool
   (** [port] must be 0 or 1. *)

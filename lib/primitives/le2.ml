@@ -1,10 +1,10 @@
 module Make (M : Backend.Mem.S) = struct
   type t = { a : M.reg; b : M.reg }
 
-  let create ?(name = "le2") mem =
+  let create ?(name = M.label "le2") mem =
     {
-      a = M.alloc mem ~name:(name ^ ".pos0");
-      b = M.alloc mem ~name:(name ^ ".pos1");
+      a = M.alloc mem ~name:(M.sub name ".pos0");
+      b = M.alloc mem ~name:(M.sub name ".pos1");
     }
 
   (* Win/lose thresholds are asymmetric on purpose. A process's true

@@ -6,10 +6,10 @@ let gap ~o ~pos = (((o - pos) mod modulus) + modulus + 4) mod modulus - 4
 module Make (M : Backend.Mem.S) = struct
   type t = { a : M.reg; b : M.reg }
 
-  let create ?(name = "le2b") mem =
+  let create ?(name = M.label "le2b") mem =
     {
-      a = M.alloc mem ~name:(name ^ ".pos0");
-      b = M.alloc mem ~name:(name ^ ".pos1");
+      a = M.alloc mem ~name:(M.sub name ".pos0");
+      b = M.alloc mem ~name:(M.sub name ".pos1");
     }
 
   let elect t ctx ~port =

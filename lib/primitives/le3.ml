@@ -3,10 +3,10 @@ module Make (M : Backend.Mem.S) = struct
 
   type t = { first : Duel.t; final : Duel.t }
 
-  let create ?(name = "le3") mem =
+  let create ?(name = M.label "le3") mem =
     {
-      first = Duel.create ~name:(name ^ ".first") mem;
-      final = Duel.create ~name:(name ^ ".final") mem;
+      first = Duel.create ~name:(M.sub name ".first") mem;
+      final = Duel.create ~name:(M.sub name ".final") mem;
     }
 
   let elect t ctx ~port =

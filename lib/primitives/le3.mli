@@ -9,7 +9,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> t
+  val create : ?name:M.name -> M.mem -> t
 
   val elect : t -> M.ctx -> port:int -> bool
   (** [port] must be 0, 1 or 2. *)

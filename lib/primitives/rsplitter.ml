@@ -3,7 +3,7 @@ module Make (M : Backend.Mem.S) = struct
 
   type t = Sp.t
 
-  let create ?(name = "rsp") mem = Sp.create ~name mem
+  let create ?(name = M.label "rsp") mem = Sp.create ~name mem
 
   let split t ctx =
     match Sp.split t ctx with

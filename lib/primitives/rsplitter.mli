@@ -8,7 +8,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> t
+  val create : ?name:M.name -> M.mem -> t
   val split : t -> M.ctx -> Splitter.outcome
 end
 

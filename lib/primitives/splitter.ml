@@ -14,10 +14,10 @@ module Make (M : Backend.Mem.S) = struct
     door : M.reg;  (* 0 = open, 1 = closed *)
   }
 
-  let create ?(name = "sp") mem =
+  let create ?(name = M.label "sp") mem =
     {
-      race = M.alloc mem ~name:(name ^ ".race");
-      door = M.alloc mem ~name:(name ^ ".door");
+      race = M.alloc mem ~name:(M.sub name ".race");
+      door = M.alloc mem ~name:(M.sub name ".door");
     }
 
   (* Moir-Anderson: write your id to [race]; if the door is already closed

@@ -19,7 +19,7 @@ val pp_outcome : outcome Fmt.t
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> t
+  val create : ?name:M.name -> M.mem -> t
 
   val split : t -> M.ctx -> outcome
   (** At most one [split] call per process; [M.self] must be distinct

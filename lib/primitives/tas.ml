@@ -4,8 +4,8 @@ module Make (M : Backend.Mem.S) = struct
     doorway : M.reg;
   }
 
-  let create ?(name = "tas") mem ~elect =
-    { elect; doorway = M.alloc mem ~name:(name ^ ".done") }
+  let create ?(name = M.label "tas") mem ~elect =
+    { elect; doorway = M.alloc mem ~name:(M.sub name ".done") }
 
   let apply t ctx =
     if M.read ctx t.doorway = 1 then 1

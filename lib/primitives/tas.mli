@@ -11,7 +11,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> elect:(M.ctx -> bool) -> t
+  val create : ?name:M.name -> M.mem -> elect:(M.ctx -> bool) -> t
   (** [elect] is the leader-election entry point; it must guarantee at
       most one [true] across all callers, and exactly one when nobody
       crashes. Each process may call the resulting TAS at most once. *)

@@ -9,15 +9,15 @@ module Make (M : Backend.Mem.S) = struct
     les : Duel.t array;
   }
 
-  let create ?(name = "ep") mem ~length =
+  let create ?(name = M.label "ep") mem ~length =
     if length < 1 then invalid_arg "Elim_path.create: length must be >= 1";
     {
       sps =
         Array.init length (fun i ->
-            Sp.create ~name:(Printf.sprintf "%s.sp[%d]" name i) mem);
+            Sp.create ~name:(M.item name "sp" i) mem);
       les =
         Array.init length (fun i ->
-            Duel.create ~name:(Printf.sprintf "%s.le[%d]" name i) mem);
+            Duel.create ~name:(M.item name "le" i) mem);
     }
 
   let length t = Array.length t.sps

@@ -14,7 +14,7 @@ type outcome = Lost | Won | Fell_off
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> length:int -> t
+  val create : ?name:M.name -> M.mem -> length:int -> t
   val length : t -> int
   val run : ?notify_stop:(unit -> unit) -> t -> M.ctx -> outcome
 end

@@ -10,16 +10,16 @@ module Make (M : Backend.Mem.S) = struct
     h : int;
   }
 
-  let create ?(name = "tree") mem ~height =
+  let create ?(name = M.label "tree") mem ~height =
     if height < 0 then invalid_arg "Primary_tree.create: height must be >= 0";
     let nodes = (1 lsl (height + 1)) - 1 in
     {
       rsps =
         Array.init (nodes + 1) (fun v ->
-            Rsp.create ~name:(Printf.sprintf "%s.rsp[%d]" name v) mem);
+            Rsp.create ~name:(M.item name "rsp" v) mem);
       les =
         Array.init (nodes + 1) (fun v ->
-            Duel3.create ~name:(Printf.sprintf "%s.le[%d]" name v) mem);
+            Duel3.create ~name:(M.item name "le" v) mem);
       h = height;
     }
 

@@ -18,7 +18,7 @@ type outcome = Lost | Won | Fell_off of int  (** Leaf index, 0-based. *)
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> height:int -> t
+  val create : ?name:M.name -> M.mem -> height:int -> t
   val height : t -> int
   val leaves : t -> int
   val run : ?notify_stop:(unit -> unit) -> t -> M.ctx -> outcome

@@ -23,19 +23,19 @@ module Make (M : Backend.Mem.S) = struct
     leaves_per_path : int;
   }
 
-  let create ?(name = "rr-lean") mem ~n =
+  let create ?(name = M.label "rr-lean") mem ~n =
     if n < 1 then invalid_arg "Ratrace_lean.create: n must be >= 1";
     let h = tree_height ~n in
     let count = path_count ~n in
     {
-      tree = Tree.create ~name:(name ^ ".tree") mem ~height:h;
+      tree = Tree.create ~name:(M.sub name ".tree") mem ~height:h;
       paths =
         Array.init count (fun i ->
             Path.create
-              ~name:(Printf.sprintf "%s.ep[%d]" name i)
+              ~name:(M.item name "ep" i)
               mem ~length:(path_length ~n));
-      backup = Path.create ~name:(name ^ ".backup") mem ~length:n;
-      top = Duel.create ~name:(name ^ ".top") mem;
+      backup = Path.create ~name:(M.sub name ".backup") mem ~length:n;
+      top = Duel.create ~name:(M.sub name ".top") mem;
       leaves_per_path = h;
     }
 

@@ -16,7 +16,7 @@
 module Make (M : Backend.Mem.S) : sig
   type t
 
-  val create : ?name:string -> M.mem -> n:int -> t
+  val create : ?name:M.name -> M.mem -> n:int -> t
   val elect : ?notify_splitter_win:(unit -> unit) -> t -> M.ctx -> bool
 end
 

@@ -71,6 +71,69 @@ let test_election_deterministic_given_seed () =
     "same winner" a.Rtas.Election.winner b.Rtas.Election.winner;
   checki "same steps" a.Rtas.Election.total_steps b.Rtas.Election.total_steps
 
+(* {1 Arena reuse: fresh vs reused, every registry entry}
+
+   A trial on a freshly built structure and scheduler must match the
+   same trial on an arena that was just used by a different seed at
+   k = 32, so registers outside the current run hold stale values and
+   the reused scheduler's RMR caches hold a previous run's bits:
+   results, per-process steps, flips and RMRs, and the trace. *)
+
+let reuse_n = 32
+let reuse_ks = [ 1; 2; 8 ]
+let reuse_seeds = 20
+
+let observe sched =
+  let n = Sim.Sched.n sched in
+  ( Sim.Sched.results sched,
+    Array.init n (Sim.Sched.steps sched),
+    Array.init n (Sim.Sched.flips sched),
+    Array.init n (Sim.Sched.rmrs sched),
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map Sim.Op.event_to_string (Sim.Sched.trace sched)))) )
+
+let run_trial sched seed =
+  Sim.Sched.run sched
+    (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
+
+let test_fresh_vs_reused (e : Rtas.Registry.entry) () =
+  let mem = Sim.Memory.create () in
+  let le = e.make mem ~n:reuse_n in
+  let progs k = Leaderelect.Le.programs le ~k in
+  let sched k = Sim.Sched.create ~record_trace:true (progs k) in
+  let wide = sched 32 in
+  List.iter
+    (fun k ->
+      let reused = sched k in
+      for i = 1 to reuse_seeds do
+        let seed = Sim.Rng.derive 0xA2E4AL ~stream:((k * 1000) + i) in
+        let fresh =
+          let mem = Sim.Memory.create () in
+          let le = e.make mem ~n:reuse_n in
+          let s =
+            Sim.Sched.create ~seed ~record_trace:true
+              (Leaderelect.Le.programs le ~k)
+          in
+          run_trial s seed;
+          observe s
+        in
+        let other = Sim.Rng.derive seed ~stream:2 in
+        Sim.Memory.reset mem;
+        Sim.Sched.reset ~seed:other wide (progs 32);
+        run_trial wide other;
+        Sim.Memory.reset mem;
+        Sim.Sched.reset ~seed reused (progs k);
+        run_trial reused seed;
+        checkb
+          (Printf.sprintf "%s k=%d trial %d: reused arena matches fresh" e.name
+             k i)
+          true
+          (observe reused = fresh)
+      done)
+    reuse_ks
+
 (* {1 Property-based tests (qcheck)} *)
 
 let algorithms_for_qcheck =
@@ -298,6 +361,11 @@ let () =
           Alcotest.test_case "deterministic by seed" `Quick
             test_election_deterministic_given_seed;
         ] );
+      ( "reuse",
+        List.map
+          (fun (e : Rtas.Registry.entry) ->
+            Alcotest.test_case e.name `Quick (test_fresh_vs_reused e))
+          Rtas.Registry.all );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -335,6 +335,34 @@ let golden_cases =
      "690e8b436f2bc4c66dd7a46ec1054ce6", 32);
     ("log*", Leaderelect.Le_logstar.make, 16, 5, 3L, `Rand,
      "b94ce997bc5544e31c1bfc06df2c3fa6", 136);
+    (* The remaining functorized entries and the original RatRace,
+       pinned before the name abstraction of [Backend.Mem.S] and the
+       dirty-list arena reset: register names, operation order and
+       flip streams. *)
+    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 8, 8, 5L, `Rand,
+     "e5de16f6f11bf1d04845df7d71342ae0", 274);
+    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 16, 5, 3L, `Rand,
+     "94df6d52f0f350df726331bc9ee3c32a", 514);
+    ("sift", Leaderelect.Sift_le.make, 8, 8, 5L, `Rand,
+     "13456fc39eedff2404c215a42ed39b1e", 16);
+    ("sift", Leaderelect.Sift_le.make, 16, 5, 3L, `Rand,
+     "efe837a00d0493ceb8aec02a87101601", 34);
+    ("poison", Leaderelect.Poison_le.make, 8, 8, 5L, `Rand,
+     "ed14a50697f74624f6d6ca643c8fa78b", 35);
+    ("poison", Leaderelect.Poison_le.make, 16, 5, 9L, `Rr,
+     "973a15b52e76296d979363c0f6a9245a", 71);
+    ("opt-space", Leaderelect.Opt_space_le.make, 8, 8, 5L, `Rand,
+     "a9ab17d88c5f231b775b0f27ec92a69b", 32);
+    ("opt-space", Leaderelect.Opt_space_le.make, 16, 5, 3L, `Rand,
+     "a1458b42488046a172320408e4a0394f", 50);
+    ("elim", Leaderelect.Elim_le.make, 8, 8, 5L, `Rand,
+     "cef8fda399dad8cbd8aac4c592eb2c76", 32);
+    ("elim", Leaderelect.Elim_le.make, 16, 5, 9L, `Rr,
+     "8ea75792c8d0490ca786e7adc72b8f91", 64);
+    ("ratrace", Leaderelect.Rr_le.make_original, 4, 4, 5L, `Rand,
+     "52bfd784e3fea2c77e372788c2383053", 866);
+    ("ratrace", Leaderelect.Rr_le.make_original, 4, 4, 9L, `Rr,
+     "5d751bc2cd7a86d65f8e468b262c84a3", 866)
   ]
 
 let test_golden_traces () =

@@ -242,7 +242,19 @@ let test_registry_backends_present () =
       let le = (Option.get e.Rtas.Registry.make_mc) ~n:4 in
       checkb "mc name matches registry" true
         (Multicore.Mc_le.name le = e.Rtas.Registry.name);
-      checkb "allocates registers" true (Multicore.Mc_le.registers le > 0))
+      checkb "allocates registers" true (Multicore.Mc_le.registers le > 0);
+      (* Both backends build from one functor source: the same
+         allocations, whatever each does with register names. *)
+      List.iter
+        (fun n ->
+          let mem = Sim.Memory.create () in
+          ignore (e.Rtas.Registry.make mem ~n);
+          checki
+            (Printf.sprintf "%s n=%d: atomic registers = sim registers"
+               e.Rtas.Registry.name n)
+            (Sim.Memory.allocated mem)
+            (Multicore.Mc_le.registers ((Option.get e.Rtas.Registry.make_mc) ~n)))
+        [ 2; 32; 100 ])
     with_mc
 
 let () =

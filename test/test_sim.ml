@@ -170,7 +170,34 @@ let test_memory_reset () =
   let r3 = Sim.Register.create mem in
   Sim.Register.write r3 ~writer:1 9;
   Sim.Memory.reset mem;
-  checki "late register also reset" 0 (Sim.Register.read r3)
+  checki "late register also reset" 0 (Sim.Register.read r3);
+  (* A second reset in a row finds nothing to undo and leaves every
+     register initial. *)
+  Sim.Memory.reset mem;
+  List.iter
+    (fun r -> checki "reset twice" 0 (Sim.Register.read r))
+    [ r1; r2; r3 ];
+  (* Written, reset, then left alone for a trial: it stays initial, and
+     a write in a later trial is still undone, however the reset tracks
+     what it has to restore. *)
+  Sim.Register.write r1 ~writer:2 5;
+  Sim.Memory.reset mem;
+  Sim.Register.write r2 ~writer:4 6;
+  Sim.Memory.reset mem;
+  checki "idle after reset stays initial" 0 (Sim.Register.read r1);
+  checki "idle writer stays cleared" (-1) r1.Sim.Register.last_writer;
+  Sim.Register.write r1 ~writer:2 8;
+  Sim.Register.write r1 ~writer:3 9;
+  Sim.Memory.reset mem;
+  checki "rewritten register reset again" 0 (Sim.Register.read r1);
+  checki "rewritten writer cleared" (-1) r1.Sim.Register.last_writer;
+  (* Allocated after a reset and never written: initial through later
+     resets, and counted. *)
+  let r4 = Sim.Register.create mem in
+  Sim.Memory.reset mem;
+  checki "unwritten late register initial" 0 (Sim.Register.read r4);
+  checki "unwritten late register no writer" (-1) r4.Sim.Register.last_writer;
+  checki "late registers counted" 4 (Sim.Memory.allocated mem)
 
 (* {1 Scheduler} *)
 
