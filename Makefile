@@ -36,11 +36,14 @@ mc-smoke:
 
 # Registry smoke: the capability table itself exits non-zero if any
 # dual entry's Atomic.t register count diverges from the simulator's;
-# on top of that, assert the successor algorithms carry the coverage
-# the differential suite assumes — poison is dual + flat with all
-# three backends agreeing on the register count, opt-space is dual.
+# on top of that, assert the entries carry the coverage the
+# differential suite assumes — log* (Theorem 2.3) and poison are dual +
+# flat with all three backends agreeing on the register count,
+# opt-space is dual.
 registry-smoke:
 	dune exec bin/rtas_cli.exe -- registry -n 64 > _build/REGISTRY.txt
+	awk '$$1 == "log*" { found = 1; if ($$2 != $$3 || $$3 != $$4) exit 1 } \
+	  END { exit !found }' _build/REGISTRY.txt
 	awk '$$1 == "poison" { found = 1; if ($$2 != $$3 || $$3 != $$4) exit 1 } \
 	  END { exit !found }' _build/REGISTRY.txt
 	awk '$$1 == "opt-space" { found = 1; if ($$2 != $$3 || $$4 != "-") exit 1 } \

@@ -445,19 +445,18 @@ let run_e10 () =
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int trials
   in
+  let le2 () = Multicore.Mc_tas.of_le (Multicore.Mc_le.le2 ()) in
   List.iter
     (fun (name, domains, make) ->
       pr "%-14s %16.0f   (%d domains, incl. spawn overhead)@." name
         (time_one ~domains make) domains)
-    [
-      ("native", 4, fun () -> Multicore.Mc_tas.native ());
-      (* the raw duel is a 2-process object *)
-      ("le2", 2, fun () -> Multicore.Mc_tas.of_le2 ());
-      ("tournament", 4, fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-      ("sift", 4, fun () -> Multicore.Mc_tas.of_sift ~n:4);
-      ("elim", 4, fun () -> Multicore.Mc_tas.of_elim ~n:4);
-      ("rr-lean", 4, fun () -> Multicore.Mc_tas.of_rr_lean ~n:4);
-    ];
+    (("native", 4, Multicore.Mc_tas.native)
+    :: ("le2", 2, le2)
+    :: List.map
+         (fun (e : Rtas.Registry.entry) ->
+           let make_mc = Option.get e.Rtas.Registry.make_mc in
+           (e.Rtas.Registry.name, 4, fun () -> Multicore.Mc_tas.of_le (make_mc ~n:4)))
+         (Rtas.Registry.dual ()));
   pr "@.Run the `bechamel` subcommand for statistically sound single-op costs.@."
 
 (* {1 E11 — Adversary-class separations} *)

@@ -97,8 +97,11 @@ let bench_tests =
     Test.make ~name:"e10/mc-tournament-tas-solo"
       (Staged.stage
          (let rng = Random.State.make [| 43 |] in
+          let tournament =
+            Option.get (Option.get (Rtas.Registry.find "tournament")).Rtas.Registry.make_mc
+          in
           fun () ->
-            let tas = Multicore.Mc_tas.of_tournament ~n:4 in
+            let tas = Multicore.Mc_tas.of_le (tournament ~n:4) in
             ignore (Multicore.Mc_tas.apply tas rng ~slot:0)));
   ]
 

@@ -34,7 +34,12 @@ let race ~name (make : unit -> Multicore.Mc_tas.t) =
 let () =
   Fmt.pr "== one-shot initialization race on %d cores ==@.@."
     (Domain.recommended_domain_count ());
-  race ~name:"tournament" (fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-  race ~name:"sift" (fun () -> Multicore.Mc_tas.of_sift ~n:4);
+  List.iter
+    (fun name ->
+      let make_mc =
+        Option.get (Option.get (Rtas.Registry.find name)).Rtas.Registry.make_mc
+      in
+      race ~name (fun () -> Multicore.Mc_tas.of_le (make_mc ~n:4)))
+    [ "tournament"; "sift" ];
   race ~name:"native" (fun () -> Multicore.Mc_tas.native ());
   Fmt.pr "@.All implementations initialized the resource exactly once.@."

@@ -9,12 +9,16 @@ type entry = {
   reference : string;
 }
 
+(* Every [make_mc] comes from here: the entry's functor applied at
+   [Atomic_mem] once, when the registry is built. *)
+let derive name m = Some (Multicore.Mc_le.derive name m)
+
 let all =
   [
     {
       name = "log*";
       make = Leaderelect.Le_logstar.make;
-      make_mc = None;
+      make_mc = derive "log*" (module Leaderelect.Le_logstar.Make);
       make_flat = Some (fun ~n -> Flatsim.Programs.logstar ~n);
       adversary = Sim.Sched.Location_oblivious;
       steps = "O(log* k)";
@@ -54,7 +58,7 @@ let all =
     {
       name = "ratrace-lean";
       make = Leaderelect.Rr_le.make_lean;
-      make_mc = Some (fun ~n -> Multicore.Mc_rr_lean.le ~n);
+      make_mc = derive "ratrace-lean" (module Ratrace.Ratrace_lean.Make);
       make_flat = None;
       adversary = Sim.Sched.Adaptive;
       steps = "O(log k)";
@@ -64,7 +68,7 @@ let all =
     {
       name = "tournament";
       make = Leaderelect.Tournament.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_tournament.le ~n);
+      make_mc = derive "tournament" (module Leaderelect.Tournament.Make);
       make_flat = Some (fun ~n -> Flatsim.Programs.tournament ~n);
       adversary = Sim.Sched.Adaptive;
       steps = "O(log n)";
@@ -94,7 +98,7 @@ let all =
     {
       name = "sift";
       make = Leaderelect.Sift_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_sift.le ~n);
+      make_mc = derive "sift" (module Leaderelect.Sift_le.Make);
       make_flat = Some (fun ~n -> Flatsim.Programs.sift ~n);
       adversary = Sim.Sched.Rw_oblivious;
       steps = "O(log log n + log n)";
@@ -104,7 +108,7 @@ let all =
     {
       name = "poison";
       make = Leaderelect.Poison_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_poison.le ~n);
+      make_mc = derive "poison" (module Leaderelect.Poison_le.Make);
       make_flat = Some (fun ~n -> Flatsim.Programs.poison ~n);
       adversary = Sim.Sched.Adaptive;
       steps = "O(log log k) rounds";
@@ -114,7 +118,7 @@ let all =
     {
       name = "opt-space";
       make = Leaderelect.Opt_space_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_opt_space.le ~n);
+      make_mc = derive "opt-space" (module Leaderelect.Opt_space_le.Make);
       make_flat = None;
       adversary = Sim.Sched.Rw_oblivious;
       steps = "O(log log k) rounds";
@@ -124,7 +128,7 @@ let all =
     {
       name = "elim";
       make = Leaderelect.Elim_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_elim.le ~n);
+      make_mc = derive "elim" (module Leaderelect.Elim_le.Make);
       make_flat = None;
       adversary = Sim.Sched.Adaptive;
       steps = "O(k) worst, O(1) typical";

@@ -4,18 +4,21 @@
     over algorithms uniformly.
 
     Each algorithm has exactly one source — a functor over
-    {!Backend.Mem.S} — and an entry exposes whichever backends that
-    functor has been instantiated at: [make] builds the simulator
-    instantiation, and [make_mc] (when present) the [Atomic.t]-backed
-    one for real domains. *)
+    {!Backend.Mem.S} ({!Leaderelect.Le.MAKE}) — and an entry exposes
+    whichever backends that functor has been instantiated at: [make]
+    builds the simulator instantiation, and [make_mc] (when present)
+    the [Atomic.t]-backed one for real domains, always
+    [Multicore.Mc_le.derive name (module X.Make)]. *)
 
 type entry = {
   name : string;
   make : Sim.Memory.t -> n:int -> Leaderelect.Le.t;
   make_mc : (n:int -> Multicore.Mc_le.t) option;
-      (** Multicore backend of the same functor, when the algorithm does
-          not need simulator-only machinery (adversary hooks, crash
-          injection) to run. *)
+      (** Multicore backend of the same functor, derived by
+          {!Multicore.Mc_le.derive} (the functor is applied once per
+          entry; each call builds a fresh structure), when the
+          algorithm does not need simulator-only machinery (adversary
+          hooks, crash injection, effect coroutines) to run. *)
   make_flat : (n:int -> Flatsim.Machine.program) option;
       (** Flat-kernel compilation of the same algorithm
           ({!Flatsim.Programs}), when one exists. Bit-identical to

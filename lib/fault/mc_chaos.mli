@@ -26,8 +26,9 @@ type report = {
 
 val impl_names : unit -> string list
 (** The {!Multicore.Mc_tas} constructions under test: every
-    {!Rtas.Registry} entry with a multicore backend ([make_mc]), plus
-    the [Atomic.exchange]-based native reference. *)
+    {!Rtas.Registry} entry with a multicore backend ([make_mc], derived
+    from the entry's functor by {!Multicore.Mc_le.derive}), plus the
+    [Atomic.exchange]-based native reference. *)
 
 val run_point :
   ?timeout:float ->

@@ -165,21 +165,13 @@ let[@inline] poison_resume m pid ~b ~cb ~size ~threshold =
 
 (* {1 Compiled elections} *)
 
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (2 * p) in
-  go 1
-
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  max 1 (go 0 n)
-
 (* Tournament tree (lib/leaderelect/tournament.ml): pid climbs from
    leaf [leaves + pid], dueling at node v/2 on port [v land 1].
    Registers: duel node d owns [2d] (port-0 position) and [2d + 1].
    Frame: [v; le2.pc; le2.pos]. Result 1 = elected. *)
 let tournament ~n =
   if n < 1 then invalid_arg "Programs.tournament: n must be >= 1";
-  let leaves = pow2_at_least n in
+  let leaves = Sim.Bits.pow2_at_least n in
   let start_duel m b v =
     let fr = m.M.frames in
     uset fr b v;
@@ -234,8 +226,8 @@ let tournament ~n =
    GE, 1 forward splitter, 2 backward duel (level doubles as j). *)
 let logstar ~n =
   if n < 1 then invalid_arg "Programs.logstar: n must be >= 1";
-  let l = Groupelect.Ge_logstar.level n in
-  let cutoff = min n (3 * ceil_log2 n) in
+  let l = Sim.Bits.ceil_log2 n in
+  let cutoff = min n (3 * l) in
   let sp0 = cutoff * (l + 2) in
   let du0 = sp0 + (2 * n) in
   let start_splitter m b level =
@@ -449,7 +441,7 @@ let sift ~n =
         max 1 (int_of_float (p *. float_of_int Groupelect.Ge_sift.resolution)))
       probs
   in
-  let leaves = pow2_at_least n in
+  let leaves = Sim.Bits.pow2_at_least n in
   let start_sift m pid b i =
     let fr = m.M.frames in
     uset fr b 0;
@@ -561,7 +553,7 @@ let tas2 =
    the group. *)
 let ge_round ~n =
   if n < 1 then invalid_arg "Programs.ge_round: n must be >= 1";
-  let l = Groupelect.Ge_logstar.level n in
+  let l = Sim.Bits.ceil_log2 n in
   let p_start m pid =
     let b = pid * 2 in
     m.M.frames.(b) <- 0;

@@ -1,12 +1,8 @@
-let level n =
-  let rec ceil_log2 acc v = if v <= 1 then acc else ceil_log2 (acc + 1) ((v + 1) / 2) in
-  max 1 (ceil_log2 0 n)
-
-let registers ~n = level n + 2
+let registers ~n = Sim.Bits.ceil_log2 n + 2
 
 module Make (M : Backend.Mem.S) = struct
   let create ?(name = M.label "ge") mem ~n =
-    let l = level n in
+    let l = Sim.Bits.ceil_log2 n in
     let r =
       Array.init (l + 1) (fun i ->
           M.alloc mem ~name:(M.item name "R" (i + 1)))

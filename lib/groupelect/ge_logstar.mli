@@ -11,10 +11,6 @@
     (the adversary cannot aim at the written cell because it does not
     learn [x] before the write lands). *)
 
-val level : int -> int
-(** [level n] is the geometric cap [l = max 1 (ceil (log2 n))]. Exposed
-    so alternative kernels can reproduce the draw bit-for-bit. *)
-
 module Make (M : Backend.Mem.S) : sig
   val create : ?name:M.name -> M.mem -> n:int -> M.ctx Ge.gen
 end

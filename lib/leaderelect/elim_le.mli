@@ -9,8 +9,8 @@
     Falling off the right end raises [Failure].
 
     One source for both backends: the simulator instantiation below
-    feeds the registry, and [Make (Backend.Atomic_mem)] is
-    {!Multicore.Mc_elim}. *)
+    feeds the registry, and the registry derives the [Atomic.t]
+    election from [Make] ({!Le.MAKE}). *)
 
 module Make (M : Backend.Mem.S) : sig
   type t

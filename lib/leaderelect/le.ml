@@ -3,6 +3,13 @@ type t = {
   elect : Sim.Ctx.t -> bool;
 }
 
+module type MAKE = functor (M : Backend.Mem.S) -> sig
+  type t
+
+  val create : ?name:M.name -> M.mem -> n:int -> t
+  val elect : t -> M.ctx -> bool
+end
+
 let programs t ~k =
   Array.init k (fun _ ctx -> if t.elect ctx then 1 else 0)
 

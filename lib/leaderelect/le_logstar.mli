@@ -8,9 +8,28 @@
     probability [1 - 1/n] only O(log n) levels are used) carry real
     GroupElect objects of O(log n) registers each; the rest are dummies
     that elect everyone, leaving the splitters to eliminate at least one
-    process per level. Total space: O(log^2 n) + Theta(n) = Theta(n). *)
+    process per level. Total space: O(log^2 n) + Theta(n) = Theta(n).
 
-type t
+    One source for every backend: the simulator instantiation below
+    feeds the registry, and the registry derives the [Atomic.t] election
+    from [Make] ({!Le.MAKE}). *)
+
+module Make (M : Backend.Mem.S) : sig
+  type t
+
+  val create_cutoff :
+    ?name:M.name -> ?cutoff:int -> M.mem -> n:int -> t
+  (** [cutoff] (clamped to [n]) is the number of levels carrying a real
+      GroupElect; the rest are dummies. Varying it is an ablation; the
+      default is [3 * ceil_log2 n]. *)
+
+  val create : ?name:M.name -> M.mem -> n:int -> t
+  (** [create_cutoff] at the default cutoff. *)
+
+  val elect : t -> M.ctx -> bool
+end
+
+type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> ?cutoff:int -> Sim.Memory.t -> n:int -> t
 

@@ -12,8 +12,8 @@
     R/W-oblivious adversary.
 
     One source for both backends: the simulator instantiation below
-    feeds the registry, and [Make (Backend.Atomic_mem)] is
-    {!Multicore.Mc_sift}. *)
+    feeds the registry, and the registry derives the [Atomic.t]
+    election from [Make] ({!Le.MAKE}). *)
 
 module Make (M : Backend.Mem.S) : sig
   type t

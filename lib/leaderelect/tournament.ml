@@ -1,7 +1,3 @@
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (2 * p) in
-  go 1
-
 module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) = struct
   module Duel = D (M)
 
@@ -12,7 +8,7 @@ module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) = struct
 
   let create ?(name = M.label "tournament") mem ~n =
     if n < 1 then invalid_arg "Tournament.create: n must be >= 1";
-    let leaves = pow2_at_least n in
+    let leaves = Sim.Bits.pow2_at_least n in
     {
       les =
         Array.init leaves (fun v ->

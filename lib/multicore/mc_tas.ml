@@ -10,16 +10,6 @@ let of_le (le : Mc_le.t) =
   let mem = Backend.Atomic_mem.create () in
   { name = le.Mc_le.mc_name; impl = Elect (A.create mem ~elect:le.Mc_le.elect) }
 
-let of_tournament ~n = of_le (Mc_tournament.le ~n)
-
-let of_sift ~n = of_le (Mc_sift.le ~n)
-
-let of_le2 () = of_le (Mc_le2.le ())
-
-let of_elim ~n = of_le (Mc_elim.le ~n)
-
-let of_rr_lean ~n = of_le (Mc_rr_lean.le ~n)
-
 let native () = { name = "native"; impl = Native (Atomic.make false) }
 
 let apply t rng ~slot =

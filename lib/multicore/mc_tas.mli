@@ -1,7 +1,6 @@
-(** One-shot linearizable test-and-set on atomics, from any of the
-    leader elections in this library plus a doorway register — literally
-    [Primitives.Tas.Make (Backend.Atomic_mem)] fed with an
-    {!Mc_le.t} election.
+(** One-shot linearizable test-and-set on atomics: any packaged
+    {!Mc_le.t} election plus a doorway register — literally
+    [Primitives.Tas.Make (Backend.Atomic_mem)] fed with its [elect].
 
     For comparison, {!native} wraps the hardware-level
     [Atomic.exchange] — the primitive the paper's algorithms implement
@@ -10,19 +9,8 @@
 type t
 
 val of_le : Mc_le.t -> t
-(** Wrap any packaged election (e.g. from the registry's multicore
-    constructors) into a test-and-set. *)
-
-val of_tournament : n:int -> t
-val of_sift : n:int -> t
-val of_le2 : unit -> t
-(** Two slots only. *)
-
-val of_elim : n:int -> t
-(** Elimination-path election; slots are [0 .. n-1]. *)
-
-val of_rr_lean : n:int -> t
-(** The Section 3 lean RatRace on atomics; slots are [0 .. n-1]. *)
+(** Wrap any packaged election (e.g. a registry entry's [make_mc])
+    into a test-and-set. *)
 
 val native : unit -> t
 (** [Atomic.exchange]-based; reference implementation. Ignores the

@@ -30,7 +30,8 @@
 
     The argument relies only on register atomicity, so it holds verbatim
     for both backends of {!Backend.Mem.S}: the simulator instantiation
-    below and the [Atomic.t] one behind {!Multicore.Mc_le2}. *)
+    below and [Make (Backend.Atomic_mem)], which the multicore tests
+    and bench race on real domains. *)
 
 module Make (M : Backend.Mem.S) : sig
   type t

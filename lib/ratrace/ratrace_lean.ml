@@ -1,14 +1,10 @@
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  max 1 (go 0 n)
-
-let tree_height ~n = ceil_log2 n
+let tree_height ~n = Sim.Bits.ceil_log2 n
 
 let path_count ~n =
-  let h = ceil_log2 n in
+  let h = Sim.Bits.ceil_log2 n in
   max 1 ((n + h - 1) / h)
 
-let path_length ~n = 4 * ceil_log2 n
+let path_length ~n = 4 * Sim.Bits.ceil_log2 n
 
 module Make (M : Backend.Mem.S) = struct
   module Tree = Primary_tree.Make (M)
@@ -45,10 +41,7 @@ module Make (M : Backend.Mem.S) = struct
     M.leave ctx "rr_top";
     won
 
-  let elect ?notify_splitter_win t ctx =
-    let notify_stop =
-      match notify_splitter_win with Some f -> f | None -> fun () -> ()
-    in
+  let elect_notify ?notify_splitter_win:(notify_stop = ignore) t ctx =
     let win_tree () = top_elect t ctx ~port:0 in
     let backup () =
       match Path.run ~notify_stop t.backup ctx with
@@ -68,6 +61,10 @@ module Make (M : Backend.Mem.S) = struct
             else false
         | Elim_path.Lost -> false
         | Elim_path.Fell_off -> backup ())
+
+  let elect t ctx = elect_notify t ctx
 end
 
 include Make (Backend.Sim_mem)
+
+let elect = elect_notify

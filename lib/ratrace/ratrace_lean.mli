@@ -17,7 +17,15 @@ module Make (M : Backend.Mem.S) : sig
   type t
 
   val create : ?name:M.name -> M.mem -> n:int -> t
-  val elect : ?notify_splitter_win:(unit -> unit) -> t -> M.ctx -> bool
+
+  val elect_notify :
+    ?notify_splitter_win:(unit -> unit) -> t -> M.ctx -> bool
+  (** [notify_splitter_win] fires the first time the caller wins any
+      splitter of the structure (Section 4, rule 3). *)
+
+  val elect : t -> M.ctx -> bool
+  (** [elect_notify] without a listener: the [Leaderelect.Le.MAKE]
+      shape the registry derives its [Atomic.t] election from. *)
 end
 
 type t = Make(Backend.Sim_mem).t

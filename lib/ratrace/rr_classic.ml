@@ -1,8 +1,4 @@
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  max 1 (go 0 n)
-
-let tree_height ~n = 3 * ceil_log2 n
+let tree_height ~n = 3 * Sim.Bits.ceil_log2 n
 
 type t = {
   tree : Primary_tree.t;

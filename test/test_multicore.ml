@@ -22,112 +22,138 @@ let run_domains ~k body =
   in
   List.map Domain.join domains
 
+(* The 2-process duel and the splitter are not registry elections: the
+   duel is packaged by [Mc_le.le2], the splitter instantiated at
+   Atomic_mem directly. *)
+module Sp = Primitives.Splitter.Make (Backend.Atomic_mem)
+
+let duel = Multicore.Mc_le.le2
+
+let duel_elect = Multicore.Mc_le.elect
+
 let test_mc_le2_single_thread () =
   (* Sequential: first caller wins, second loses. *)
   for _ = 1 to 50 do
-    let le = Multicore.Mc_le2.create () in
+    let le = duel () in
     let rng = Random.State.make [| 1 |] in
-    let a = Multicore.Mc_le2.elect le rng ~slot:0 in
-    let b = Multicore.Mc_le2.elect le rng ~slot:1 in
+    let a = duel_elect le rng ~slot:0 in
+    let b = duel_elect le rng ~slot:1 in
     checkb "first wins" true a;
     checkb "second loses" false b
   done
 
 let test_mc_le2_parallel () =
   for _ = 1 to 100 do
-    let le = Multicore.Mc_le2.create () in
-    let results =
-      run_domains ~k:2 (fun slot rng -> Multicore.Mc_le2.elect le rng ~slot)
-    in
+    let le = duel () in
+    let results = run_domains ~k:2 (fun slot rng -> duel_elect le rng ~slot) in
     let winners = List.length (List.filter Fun.id results) in
     checki "exactly one winner" 1 winners
   done
 
 let test_mc_le2_solo () =
-  let le = Multicore.Mc_le2.create () in
+  let le = duel () in
   let rng = Random.State.make [| 3 |] in
-  checkb "solo wins" true (Multicore.Mc_le2.elect le rng ~slot:1)
+  checkb "solo wins" true (duel_elect le rng ~slot:1)
 
-let test_mc_tournament_parallel () =
-  List.iter
-    (fun k ->
-      for _ = 1 to 50 do
-        let le = Multicore.Mc_tournament.create ~n:k in
-        let results =
-          run_domains ~k (fun slot rng ->
-              Multicore.Mc_tournament.elect le rng ~slot)
-        in
-        let winners = List.length (List.filter Fun.id results) in
-        checki "exactly one winner" 1 winners
-      done)
-    [ 2; 3; 4 ]
-
-let test_mc_tournament_sequential () =
-  let le = Multicore.Mc_tournament.create ~n:4 in
-  let rng = Random.State.make [| 5 |] in
-  let results =
-    List.init 4 (fun slot -> Multicore.Mc_tournament.elect le rng ~slot)
-  in
-  checki "one winner" 1 (List.length (List.filter Fun.id results))
-
-let test_mc_sift_parallel () =
-  for _ = 1 to 50 do
-    let le = Multicore.Mc_sift.create ~n:4 in
-    let results =
-      run_domains ~k:4 (fun slot rng -> Multicore.Mc_sift.elect le rng ~slot)
-    in
-    let winners = List.length (List.filter Fun.id results) in
-    checki "exactly one winner" 1 winners
-  done
-
-let test_mc_sift_solo () =
-  let le = Multicore.Mc_sift.create ~n:64 in
-  let rng = Random.State.make [| 7 |] in
-  checkb "solo wins" true (Multicore.Mc_sift.elect le rng ~slot:13)
+let split sp ~slot = Sp.split sp (Backend.Atomic_mem.ctx ~slot ())
 
 let test_mc_splitter_solo () =
-  let sp = Multicore.Mc_splitter.create () in
-  checkb "solo stops" true
-    (Multicore.Mc_splitter.split sp ~slot:5 = Multicore.Mc_splitter.S)
+  let sp = Sp.create (Backend.Atomic_mem.create ()) in
+  checkb "solo stops" true (split sp ~slot:5 = Primitives.Splitter.S)
 
 let test_mc_splitter_parallel () =
   for _ = 1 to 100 do
-    let sp = Multicore.Mc_splitter.create () in
-    let results =
-      run_domains ~k:3 (fun slot _rng -> Multicore.Mc_splitter.split sp ~slot)
-    in
+    let sp = Sp.create (Backend.Atomic_mem.create ()) in
+    let results = run_domains ~k:3 (fun slot _rng -> split sp ~slot) in
     let count v = List.length (List.filter (fun r -> r = v) results) in
-    checkb "at most one S" true (count Multicore.Mc_splitter.S <= 1);
-    checkb "not all L" true (count Multicore.Mc_splitter.L <= 2);
-    checkb "not all R" true (count Multicore.Mc_splitter.R <= 2)
+    checkb "at most one S" true (count Primitives.Splitter.S <= 1);
+    checkb "not all L" true (count Primitives.Splitter.L <= 2);
+    checkb "not all R" true (count Primitives.Splitter.R <= 2)
   done
 
-let test_mc_elim_parallel () =
-  for _ = 1 to 50 do
-    let le = Multicore.Mc_elim.create ~n:4 in
+(* --- Every dual registry entry on real domains ------------------------
+
+   One loop over [Registry.dual ()]: each entry's derived Atomic.t
+   election must elect exactly one winner among 2, 3, 4 and 8 racing
+   domains (3 leaves a tree that is not a power of two), let a solo
+   contender at a high slot win, elect one winner when run
+   sequentially, and reject a slot outside [0 .. n-1]. *)
+
+let make_mc (e : Rtas.Registry.entry) = Option.get e.Rtas.Registry.make_mc
+
+let winners results = List.length (List.filter Fun.id results)
+
+let races ~n ~times e () =
+  for _ = 1 to times do
+    let le = make_mc e ~n in
     let results =
-      run_domains ~k:4 (fun slot rng -> Multicore.Mc_elim.elect le rng ~slot)
+      run_domains ~k:n (fun slot rng -> Multicore.Mc_le.elect le rng ~slot)
     in
-    checki "exactly one winner" 1 (List.length (List.filter Fun.id results))
+    checki "exactly one winner" 1 (winners results)
   done
 
-let test_mc_elim_sequential () =
-  let le = Multicore.Mc_elim.create ~n:4 in
-  let rng = Random.State.make [| 9 |] in
-  let results = List.init 4 (fun slot -> Multicore.Mc_elim.elect le rng ~slot) in
-  checki "one winner" 1 (List.length (List.filter Fun.id results))
+let test_solo e () =
+  let le = make_mc e ~n:64 in
+  let rng = Random.State.make [| 7 |] in
+  checkb "solo wins" true (Multicore.Mc_le.elect le rng ~slot:63)
+
+let test_sequential e () =
+  let le = make_mc e ~n:4 in
+  let rng = Random.State.make [| 23 |] in
+  let results = List.init 4 (fun slot -> Multicore.Mc_le.elect le rng ~slot) in
+  checki "one winner" 1 (winners results)
+
+let test_slot_range (e : Rtas.Registry.entry) () =
+  let name = e.Rtas.Registry.name in
+  let rng = Random.State.make [| 29 |] in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: %s accepted" name what
+    | exception Invalid_argument msg ->
+        checkb
+          (Printf.sprintf "%s: message %S names the entry" what msg)
+          true
+          (String.starts_with ~prefix:(name ^ ":") msg)
+  in
+  let le = make_mc e ~n:4 in
+  let tas = Multicore.Mc_tas.of_le (make_mc e ~n:4) in
+  List.iter
+    (fun slot ->
+      rejects
+        (Printf.sprintf "Mc_le.elect slot %d" slot)
+        (fun () -> Multicore.Mc_le.elect le rng ~slot);
+      rejects
+        (Printf.sprintf "Mc_tas.apply slot %d" slot)
+        (fun () -> Multicore.Mc_tas.apply tas rng ~slot))
+    [ -1; 4; 7 ];
+  (* A rejected call touches no register: the structures still work. *)
+  checkb "election still live" true (Multicore.Mc_le.elect le rng ~slot:3);
+  checki "tas still live" 0 (Multicore.Mc_tas.apply tas rng ~slot:3)
+
+let dual_groups =
+  List.map
+    (fun (e : Rtas.Registry.entry) ->
+      ( e.Rtas.Registry.name,
+        [
+          Alcotest.test_case "parallel" `Quick (fun () ->
+              List.iter (fun n -> races ~n ~times:50 e ()) [ 2; 3; 4 ]);
+          Alcotest.test_case "larger crowd" `Quick (races ~n:8 ~times:10 e);
+          Alcotest.test_case "solo" `Quick (test_solo e);
+          Alcotest.test_case "sequential" `Quick (test_sequential e);
+          Alcotest.test_case "slot range" `Quick (test_slot_range e);
+        ] ))
+    (Rtas.Registry.dual ())
+
+(* --- Test-and-set on atomics ------------------------------------------ *)
 
 let tas_impls =
-  [
-    ("tournament", fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-    ("sift", fun () -> Multicore.Mc_tas.of_sift ~n:4);
-    ("elim", fun () -> Multicore.Mc_tas.of_elim ~n:4);
-    ("rr-lean", fun () -> Multicore.Mc_tas.of_rr_lean ~n:4);
-    ("native", fun () -> Multicore.Mc_tas.native ());
-  ]
+  List.map
+    (fun (e : Rtas.Registry.entry) ->
+      (e.Rtas.Registry.name, fun () -> Multicore.Mc_tas.of_le (make_mc e ~n:4)))
+    (Rtas.Registry.dual ())
+  @ [ ("native", fun () -> Multicore.Mc_tas.native ()) ]
 
-let test_mc_tas_unique_zero (name, make) () =
-  ignore name;
+let test_mc_tas_unique_zero make () =
   for _ = 1 to 50 do
     let tas = make () in
     let results =
@@ -140,7 +166,7 @@ let test_mc_tas_unique_zero (name, make) () =
 
 let test_mc_tas_le2_pair () =
   for _ = 1 to 100 do
-    let tas = Multicore.Mc_tas.of_le2 () in
+    let tas = Multicore.Mc_tas.of_le (Multicore.Mc_le.le2 ()) in
     let results =
       run_domains ~k:2 (fun slot rng -> Multicore.Mc_tas.apply tas rng ~slot)
     in
@@ -148,7 +174,8 @@ let test_mc_tas_le2_pair () =
   done
 
 let test_mc_tas_sequential_semantics () =
-  let tas = Multicore.Mc_tas.of_tournament ~n:4 in
+  let tournament = Option.get (Rtas.Registry.find "tournament") in
+  let tas = Multicore.Mc_tas.of_le (make_mc tournament ~n:4) in
   let rng = Random.State.make [| 11 |] in
   checki "first gets 0" 0 (Multicore.Mc_tas.apply tas rng ~slot:0);
   checki "second gets 1" 1 (Multicore.Mc_tas.apply tas rng ~slot:1);
@@ -259,72 +286,25 @@ let test_registry_backends_present () =
 
 let () =
   Alcotest.run "multicore"
-    [
+    ([
       ( "le2",
         [
           Alcotest.test_case "sequential" `Quick test_mc_le2_single_thread;
           Alcotest.test_case "parallel" `Quick test_mc_le2_parallel;
           Alcotest.test_case "solo" `Quick test_mc_le2_solo;
         ] );
-      ( "tournament",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_tournament_parallel;
-          Alcotest.test_case "sequential" `Quick test_mc_tournament_sequential;
-        ] );
-      ( "sift",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_sift_parallel;
-          Alcotest.test_case "solo" `Quick test_mc_sift_solo;
-        ] );
       ( "splitter",
         [
           Alcotest.test_case "solo" `Quick test_mc_splitter_solo;
           Alcotest.test_case "parallel" `Quick test_mc_splitter_parallel;
         ] );
-      ( "elim",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_elim_parallel;
-          Alcotest.test_case "sequential" `Quick test_mc_elim_sequential;
-        ] );
-      ( "rr-lean",
-        [
-          Alcotest.test_case "parallel" `Quick (fun () ->
-              for _ = 1 to 50 do
-                let le = Multicore.Mc_rr_lean.create ~n:4 in
-                let results =
-                  run_domains ~k:4 (fun slot rng ->
-                      Multicore.Mc_rr_lean.elect le rng ~slot)
-                in
-                checki "exactly one winner" 1
-                  (List.length (List.filter Fun.id results))
-              done);
-          Alcotest.test_case "larger crowd" `Quick (fun () ->
-              for _ = 1 to 10 do
-                let le = Multicore.Mc_rr_lean.create ~n:8 in
-                let results =
-                  run_domains ~k:8 (fun slot rng ->
-                      Multicore.Mc_rr_lean.elect le rng ~slot)
-                in
-                checki "exactly one winner" 1
-                  (List.length (List.filter Fun.id results))
-              done);
-          Alcotest.test_case "solo" `Quick (fun () ->
-              let le = Multicore.Mc_rr_lean.create ~n:8 in
-              let rng = Random.State.make [| 21 |] in
-              checkb "solo wins" true (Multicore.Mc_rr_lean.elect le rng ~slot:3));
-          Alcotest.test_case "sequential" `Quick (fun () ->
-              let le = Multicore.Mc_rr_lean.create ~n:4 in
-              let rng = Random.State.make [| 23 |] in
-              let results =
-                List.init 4 (fun slot ->
-                    Multicore.Mc_rr_lean.elect le rng ~slot)
-              in
-              checki "one winner" 1 (List.length (List.filter Fun.id results)));
-        ] );
+    ]
+    @ dual_groups
+    @ [
       ( "tas",
         List.map
           (fun (name, make) ->
-            Alcotest.test_case name `Quick (test_mc_tas_unique_zero (name, make)))
+            Alcotest.test_case name `Quick (test_mc_tas_unique_zero make))
           tas_impls
         @ [
             Alcotest.test_case "le2 pair" `Quick test_mc_tas_le2_pair;
@@ -337,4 +317,4 @@ let () =
           Alcotest.test_case "dual backends" `Quick
             test_registry_backends_present;
         ] );
-    ]
+    ])
